@@ -2,8 +2,7 @@
 
 Set OMEN_JIT=0 to run the kernels under the plain interpreter (same
 source, no compilation). Default is JIT on whenever numba imports.
-The fallback exists for debugging and as a dependency escape hatch;
-`benchmarks/enum_throughput.py` compares the two paths.
+The fallback exists for debugging and as a dependency escape hatch.
 """
 
 import os

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,21 +127,45 @@ def derive_sets_multi(pwd: str, hints, n: int = 3) -> BoostSets:
     return BoostSets(frozenset(s), frozenset(t), frozenset(hint_grams))
 
 
+def _gram_rank(model, gram: str) -> int | None:
+    """Rank of an n-gram over the model's alphabet, None when not representable."""
+    if len(gram) != model.n:
+        raise ValueError(f"gram {gram!r} does not have {model.n} characters")
+    if not model.alphabet.accepts(gram):
+        return None
+    rank = 0
+    for ch in gram:
+        rank = rank * model.alphabet.size + model.alphabet.index(ch)
+    return rank
+
+
 def _grams_by_context(model, grams) -> dict[int, list[int]]:
     """Map alphabet-representable grams to (context rank, char rank) groups."""
-    n = model.n
     sigma = model.alphabet.size
     by_ctx: dict[int, list[int]] = {}
     for g in grams:
-        if len(g) != n:
-            raise ValueError(f"gram {g!r} does not have {n} characters")
-        if not model.alphabet.accepts(g):
-            continue
-        rank = 0
-        for ch in g:
-            rank = rank * sigma + model.alphabet.index(ch)
-        by_ctx.setdefault(rank // sigma, []).append(rank % sigma)
+        rank = _gram_rank(model, g)
+        if rank is not None:
+            by_ctx.setdefault(rank // sigma, []).append(rank % sigma)
     return by_ctx
+
+
+def _raised_level_rows(model, bonus: dict[str, int]) -> dict[int, np.ndarray]:
+    """Level rows of every context a representable gram in bonus touches, with
+    each such gram's level raised by its own bonus and clamped to 0."""
+    sigma = model.alphabet.size
+    rows: dict[int, np.ndarray] = {}
+    for g, b in bonus.items():
+        rank = _gram_rank(model, g)
+        if rank is None:
+            continue
+        ctx, z = divmod(rank, sigma)
+        row = rows.get(ctx)
+        if row is None:
+            row = rows[ctx] = np.array(
+                [model.conditional_level(ctx, y) for y in range(sigma)], dtype=np.int64)
+        row[z] = min(0, int(row[z]) + b)
+    return {ctx: row.astype(np.int8) for ctx, row in rows.items()}
 
 
 class BoostedModel:
@@ -206,13 +229,13 @@ def boost_conditionals(model, hint_grams, alpha: float, exact_renorm: bool = Fal
     """
     if alpha < 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
+    hint_grams = list(hint_grams)
     bonus = boost_level_for(alpha, model.L)
+    level_rows = _raised_level_rows(model, dict.fromkeys(hint_grams, bonus))
     prob_rows: dict[int, np.ndarray] = {}
-    level_rows: dict[int, np.ndarray] = {}
     sigma = model.alphabet.size
     for ctx, chars in _grams_by_context(model, hint_grams).items():
         base_prob = np.array([model.conditional_probability(ctx, z) for z in range(sigma)])
-        base_level = np.array([model.conditional_level(ctx, z) for z in range(sigma)], dtype=np.int64)
         p_hat = float(base_prob[chars].sum())
         prob = base_prob.copy()
         if alpha == 1.0:
@@ -227,10 +250,7 @@ def boost_conditionals(model, hint_grams, alpha: float, exact_renorm: bool = Fal
             else:
                 prob *= 1.0 - alpha * p_hat
             prob[chars] = alpha * base_prob[chars]
-        level = base_level.copy()
-        level[chars] = np.minimum(0, level[chars] + bonus)
         prob_rows[ctx] = prob
-        level_rows[ctx] = level.astype(np.int8)
     return BoostedModel(model, prob_rows, level_rows)
 
 
@@ -340,7 +360,7 @@ def default_alpha_grid(lo: float = 1.0, hi: float = ALPHA_CAP, step: float = 0.1
 
 
 def estimate_alpha(records: list[HintRecord], attribute: str, model, grid=None,
-                   b: float = DEFAULT_GUESS_EXPONENT, threads: int | None = None) -> tuple[float, int]:
+                   b: float = DEFAULT_GUESS_EXPONENT) -> tuple[float, int]:
     """Grid-search the multiplier that minimizes objective_S.
 
     Returns (alpha_star, boost_level); ties pick the smaller alpha. The grid
@@ -352,11 +372,7 @@ def estimate_alpha(records: list[HintRecord], attribute: str, model, grid=None,
         raise ValueError(f"alpha grid must lie within [1, {ALPHA_CAP}]")
     if not any(abs(a - 1.0) < 1e-12 for a in grid):
         raise ValueError("alpha grid must include 1")
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(lambda a: objective_S(records, attribute, a, model, b), grid))
-    else:
-        scores = [objective_S(records, attribute, a, model, b) for a in grid]
+    scores = [objective_S(records, attribute, a, model, b) for a in grid]
     best = min(range(len(grid)), key=lambda i: (scores[i], grid[i]))
     alpha_star = grid[best]
     return alpha_star, boost_level_for(alpha_star, model.L)
@@ -382,22 +398,6 @@ def plus_stream(model, profile: BoostProfile, hints, budget: int,
             for g in ngram_set(value, model.n):
                 if bonus.get(g, 0) < blevel:
                     bonus[g] = blevel
-    if not bonus:
-        return guess_stream(model, budget, feedback, lengths)
-    sigma = model.alphabet.size
-    level_rows: dict[int, np.ndarray] = {}
-    for ctx in _grams_by_context(model, bonus):
-        level_rows[ctx] = np.array(
-            [model.conditional_level(ctx, z) for z in range(sigma)], dtype=np.int64
-        )
-    for g, blevel in bonus.items():
-        if len(g) != model.n or not model.alphabet.accepts(g):
-            continue
-        rank = 0
-        for ch in g:
-            rank = rank * sigma + model.alphabet.index(ch)
-        ctx, z = divmod(rank, sigma)
-        row = level_rows[ctx]
-        row[z] = min(0, int(row[z]) + blevel)
-    view = BoostedModel(model, {}, {c: r.astype(np.int8) for c, r in level_rows.items()})
-    return guess_stream(view, budget, feedback, lengths)
+    if bonus:
+        model = BoostedModel(model, {}, _raised_level_rows(model, bonus))
+    return guess_stream(model, budget, feedback, lengths)

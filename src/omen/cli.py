@@ -10,7 +10,6 @@ import argparse
 import logging
 import math
 import os
-import random
 import sys
 from itertools import islice
 
@@ -18,6 +17,7 @@ from .boost import (
     ALPHA_CAP,
     BoostProfile,
     DEFAULT_GUESS_EXPONENT,
+    default_alpha_grid,
     estimate_alpha,
     plus_stream,
 )
@@ -64,12 +64,23 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"bad grid {text!r}, expected lo:hi:step") from None
     if step <= 0 or hi < lo:
         raise ValueError(f"bad grid {text!r}")
-    count = int(round((hi - lo) / step)) + 1
-    return [round(lo + i * step, 10) for i in range(count)]
+    return default_alpha_grid(lo, hi, step)
 
 
-def _load_test_set(args, alphabet):
-    return load_passwords(args.test, alphabet, args.min_len, args.max_len)
+def _load_model_and_test_set(args):
+    model = load_model(args.model)
+    test = load_passwords(args.test, model.alphabet, args.min_len, args.max_len)
+    logger.info("test set: %d passwords (%d rejected)", len(test), test.rejected_count)
+    return model, test
+
+
+def _curve(args):
+    """Crack the test set adaptively and sample the curve at --checkpoints."""
+    model, test = _load_model_and_test_set(args)
+    cps = _parse_checkpoints(args.checkpoints)
+    oracle = TestSetOracle(test.passwords, unique=args.unique)
+    stream = guess_stream(model, args.budget, oracle)
+    return crack_curve(stream, test.passwords, cps, unique=args.unique)
 
 
 def _cmd_train(args) -> int:
@@ -100,35 +111,24 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_crack(args) -> int:
-    model = load_model(args.model)
-    test = _load_test_set(args, model.alphabet)
-    logger.info("test set: %d passwords (%d rejected)", len(test), test.rejected_count)
     if args.checkpoints:
-        cps = _parse_checkpoints(args.checkpoints)
-        oracle = TestSetOracle(test.passwords, unique=args.unique)
-        stream = guess_stream(model, args.budget, oracle)
-        curve = crack_curve(stream, test.passwords, cps, unique=args.unique)
+        curve = _curve(args)
         sys.stdout.write("guesses,fraction\n")
         for cp, frac in zip(curve.checkpoints, curve.fractions):
             sys.stdout.write(f"{cp},{frac!r}\n")
-    else:
-        oracle = TestSetOracle(test.passwords, unique=args.unique)
-        made = 0
-        for _ in guess_stream(model, args.budget, oracle):
-            made += 1
-        sys.stdout.write("guesses,cracked,fraction\n")
-        sys.stdout.write(f"{made},{oracle.cracked},{oracle.fraction!r}\n")
+        return 0
+    model, test = _load_model_and_test_set(args)
+    oracle = TestSetOracle(test.passwords, unique=args.unique)
+    made = 0
+    for _ in guess_stream(model, args.budget, oracle):
+        made += 1
+    sys.stdout.write("guesses,cracked,fraction\n")
+    sys.stdout.write(f"{made},{oracle.cracked},{oracle.fraction!r}\n")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    model = load_model(args.model)
-    test = _load_test_set(args, model.alphabet)
-    logger.info("test set: %d passwords (%d rejected)", len(test), test.rejected_count)
-    cps = _parse_checkpoints(args.checkpoints)
-    oracle = TestSetOracle(test.passwords, unique=args.unique)
-    stream = guess_stream(model, args.budget, oracle)
-    curve = crack_curve(stream, test.passwords, cps, unique=args.unique)
+    curve = _curve(args)
     export_curve(curve, args.out)
     logger.info("final fraction %.4f; curve written to %s", curve.fractions[-1], args.out)
     return 0
@@ -167,8 +167,7 @@ def _cmd_alpha(args) -> int:
     if not records:
         raise OmenError(f"{args.hints}: no hint records")
     grid = _parse_grid(args.grid)
-    alpha_star, boost = estimate_alpha(records, args.attribute, model, grid,
-                                       b=args.exponent, threads=args.threads)
+    alpha_star, boost = estimate_alpha(records, args.attribute, model, grid, b=args.exponent)
     sys.stdout.write("alpha,lnAlpha,boostLevel\n")
     sys.stdout.write(f"{alpha_star:.6g},{math.log(alpha_star):.6g},{boost}\n")
     return 0
@@ -198,9 +197,6 @@ def _cmd_policy_check(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads for parallel stages (default: all cores)")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
     parser = _Parser(prog="omen", description="Markov-model password guessing toolkit")
@@ -289,7 +285,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING if args.quiet else logging.INFO,
                         format="%(levelname)s %(message)s")
-    random.seed(args.seed)
     try:
         return args.func(args)
     except BrokenPipeError:

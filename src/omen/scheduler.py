@@ -4,14 +4,17 @@ One schedule entry per password length carries the success probability sp of
 its most recent batch. The loop always pops the entry with the highest sp,
 runs that length's next (one lower) level, measures the new sp, and puts the
 entry back until the length bottoms out. Success is reported by a feedback
-callable: it receives each guess and returns how many targets it cracked
-(evaluation mode passes a test-set oracle, attack mode a hash checker; pass
-None for a constant 0, which degrades to a fixed deterministic order).
+callable: it receives each guess before the stream yields it and returns how
+many targets it cracked (evaluation mode passes a test-set oracle, attack mode
+a hash checker; pass None for a constant 0, which degrades to a fixed
+deterministic order).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
 from .enumerator import enum_pwd
@@ -66,24 +69,41 @@ def _usable_lengths(model, lengths) -> list[int]:
     return out
 
 
-def schedule_init(model, lengths=None, feedback: Feedback | None = None) -> ScheduleState:
-    """Run level 0 for every length and build the initial schedule.
+def _run_cell(state: ScheduleState, model, level: int, length: int,
+              feedback: Feedback) -> Iterator[Guess]:
+    """Enumerate one (length, level) cell, scoring each guess before yielding it.
 
-    sp is cracked/generated for the batch, 0 when the batch was empty.
+    Once the cell is exhausted its entry goes into the schedule with sp =
+    cracked/generated for the cell (0 when it was empty), and the state's
+    totals grow by the cell's.
     """
+    generated = 0
+    hit = 0
+    for generated, text in enumerate(enum_pwd(model, level, length), 1):
+        hit += feedback(text)
+        yield Guess(text, level, length)
+    sp = hit / generated if generated else 0.0
+    state.entries.append(ScheduleEntry(sp, level, length))
+    state.guesses_made += generated
+    state.cracked += hit
+    _sort_entries(state.entries)
+
+
+def _next_cell(state: ScheduleState, model, feedback: Feedback) -> Iterator[Guess]:
+    """Pop the best entry and run its next level; an entry already at its
+    length's minimum level is dropped instead."""
+    head = state.entries.pop(0)
+    nxt = head.level - 1
+    if nxt >= _min_total_level(model, head.length):
+        yield from _run_cell(state, model, nxt, head.length, feedback)
+
+
+def schedule_init(model, lengths=None, feedback: Feedback | None = None) -> ScheduleState:
+    """Run level 0 for every length and build the initial schedule."""
     feedback = feedback or _zero_feedback
     state = ScheduleState()
     for ell in _usable_lengths(model, lengths):
-        generated = 0
-        hit = 0
-        for text in enum_pwd(model, 0, ell):
-            generated += 1
-            hit += feedback(text)
-        sp = hit / generated if generated else 0.0
-        state.entries.append(ScheduleEntry(sp, 0, ell))
-        state.guesses_made += generated
-        state.cracked += hit
-    _sort_entries(state.entries)
+        deque(_run_cell(state, model, 0, ell, feedback), maxlen=0)
     return state
 
 
@@ -95,21 +115,7 @@ def next_step(state: ScheduleState, model, feedback: Feedback | None = None) -> 
     """
     if not state.entries:
         raise ValueError("schedule is empty")
-    feedback = feedback or _zero_feedback
-    head = state.entries.pop(0)
-    nxt = head.level - 1
-    if nxt < _min_total_level(model, head.length):
-        return state
-    generated = 0
-    hit = 0
-    for text in enum_pwd(model, nxt, head.length):
-        generated += 1
-        hit += feedback(text)
-    sp = hit / generated if generated else 0.0
-    state.entries.append(ScheduleEntry(sp, nxt, head.length))
-    state.guesses_made += generated
-    state.cracked += hit
-    _sort_entries(state.entries)
+    deque(_next_cell(state, model, feedback or _zero_feedback), maxlen=0)
     return state
 
 
@@ -124,44 +130,12 @@ def guess_stream(model, budget: int, feedback: Feedback | None = None,
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     use = _usable_lengths(model, lengths)
-    return _stream(model, int(budget), feedback or _zero_feedback, use)
+    return islice(_stream(model, feedback or _zero_feedback, use), int(budget))
 
 
-def _stream(model, budget, feedback, lengths):
+def _stream(model, feedback, lengths):
     state = ScheduleState()
-    made = 0
     for ell in lengths:
-        generated = 0
-        hit = 0
-        for text in enum_pwd(model, 0, ell):
-            yield Guess(text, 0, ell)
-            made += 1
-            generated += 1
-            hit += feedback(text)
-            if made >= budget:
-                return
-        sp = hit / generated if generated else 0.0
-        state.entries.append(ScheduleEntry(sp, 0, ell))
-        state.guesses_made += generated
-        state.cracked += hit
-    _sort_entries(state.entries)
-
+        yield from _run_cell(state, model, 0, ell, feedback)
     while state.entries:
-        head = state.entries.pop(0)
-        nxt = head.level - 1
-        if nxt < _min_total_level(model, head.length):
-            continue
-        generated = 0
-        hit = 0
-        for text in enum_pwd(model, nxt, head.length):
-            yield Guess(text, nxt, head.length)
-            made += 1
-            generated += 1
-            hit += feedback(text)
-            if made >= budget:
-                return
-        sp = hit / generated if generated else 0.0
-        state.entries.append(ScheduleEntry(sp, nxt, head.length))
-        state.guesses_made += generated
-        state.cracked += hit
-        _sort_entries(state.entries)
+        yield from _next_cell(state, model, feedback)

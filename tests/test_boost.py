@@ -347,14 +347,6 @@ def test_estimate_alpha_ties_pick_smallest():
     assert alpha == 1.0 and blevel == 0
 
 
-def test_estimate_alpha_threads_agree():
-    model, records = embed_fixture()
-    grid = [1.0, 2.0, 3.0]
-    single = estimate_alpha(records, "firstName", model, grid=grid)
-    multi = estimate_alpha(records, "firstName", model, grid=grid, threads=4)
-    assert single == multi
-
-
 # --- boost profiles ---------------------------------------------------------
 
 

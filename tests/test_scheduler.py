@@ -1,4 +1,5 @@
 from collections import Counter, defaultdict
+from itertools import islice
 
 import pytest
 
@@ -122,6 +123,27 @@ def test_levels_within_length_have_no_gaps():
                 executed[ell].append(lvl)
     for ell, levels in executed.items():
         assert levels == list(range(0, -len(levels), -1))
+
+
+@pytest.mark.parametrize("take", ["next", "islice", "partial"])
+def test_every_yielded_guess_reaches_feedback_once(take):
+    model = small_model()
+    budget = 300
+    seen = []
+
+    def feedback(text):
+        seen.append(text)
+        return 0
+
+    stream = guess_stream(model, budget, feedback, (3, 4, 5))
+    if take == "next":
+        taken = [next(stream) for _ in range(budget)]
+    elif take == "islice":
+        taken = list(islice(stream, budget))
+    else:
+        taken = list(islice(stream, budget // 3))
+    # the consumer stops without resuming the stream; what it holds was scored
+    assert seen == [g.text for g in taken]
 
 
 def test_feedback_steers_the_schedule():
