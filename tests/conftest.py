@@ -1,17 +1,6 @@
 import numpy as np
 import pytest
 
-from omen import Corpus, train
-from omen.enumerator import count_guesses, enum_pwd
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the numba kernels once so timed tests measure steady state
-    model = train(Corpus(["aab", "abb", "bba", "bab"]), n=3, L=5)
-    list(enum_pwd(model, 0, 3))
-    count_guesses(model, 0, 3)
-
 
 @pytest.fixture()
 def rng():

@@ -1,9 +1,7 @@
 """Acceptance suite: one test per criterion, pinned tolerances and budgets.
 
 Each test prints a single summary line (visible with -s, or in pytest -v via
-the test id). Time limits are wall-clock on the steady state; the session
-fixture in conftest.py compiles the kernels first so no test pays the
-one-time compilation cost.
+the test id). Time limits are wall-clock.
 """
 
 import itertools

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synth
-from omen import Alphabet, NgramModel, password_level
+from omen import Alphabet, NgramModel, boost_conditionals, password_level
 from omen.enumerator import count_guesses, enum_level_vectors, enum_pwd
+from omen.similarity import ngram_set
 
 
 def toy_model() -> NgramModel:
@@ -196,3 +198,102 @@ def test_count_guesses_partitions_large_space():
     k = ell - 1
     total = sum(count_guesses(model, eta, ell) for eta in range(0, -(9 * k) - 1, -1))
     assert total == 4**ell
+
+
+def test_count_guesses_exact_past_float_precision():
+    # 3**40 is above 2**63, and single cells hold more than 2**53 strings
+    model = synth.random_model(21, sigma=3, L=4)
+    ell = 40
+    counts = [count_guesses(model, eta, ell) for eta in range(0, -3 * (ell - 1) - 1, -1)]
+    assert max(counts) > 2**53
+    assert sum(counts) == 3**ell
+
+
+def test_count_guesses_switches_to_python_ints():
+    # n=2 over two letters: after 62 transitions an int64 entry could overflow
+    model = synth.random_model(22, sigma=2, n=2, L=3)
+    ell = 70
+    counts = [count_guesses(model, eta, ell) for eta in range(0, -2 * ell - 1, -1)]
+    assert max(counts) > 2**63
+    assert sum(counts) == 2**ell
+
+
+# --- full order and bounded batches -----------------------------------------
+
+
+def brute_cell(model, eta: int, ell: int) -> list[tuple[tuple[int, ...], str]]:
+    """(negated level vector, string) for every string of the cell, in the
+    engine's order: level vector descending, then character ranks ascending.
+
+    Levels come from the scoring accessors, so a boosted view is honoured.
+    """
+    sigma = model.alphabet.size
+    n1 = model.n - 1
+    C = sigma**n1
+    keyed = []
+    for tup in itertools.product(range(sigma), repeat=ell):
+        ctx = 0
+        for r in tup[:n1]:
+            ctx = ctx * sigma + r
+        vec = [model.initial_level_at(ctx)]
+        for z in tup[n1:]:
+            vec.append(model.conditional_level(ctx, z))
+            ctx = (ctx * sigma + z) % C
+        if sum(vec) == eta:
+            keyed.append((tuple(-v for v in vec), tup))
+    keyed.sort()
+    return [(vec, "".join(model.alphabet.chars[r] for r in tup)) for vec, tup in keyed]
+
+
+@pytest.mark.parametrize("seed,sigma,n,L,ell", [
+    (31, 4, 2, 4, 6), (32, 3, 3, 5, 6), (33, 3, 4, 4, 6), (34, 4, 3, 10, 5),
+])
+def test_full_order_matches_brute_force_sort(seed, sigma, n, L, ell):
+    model = synth.random_model(seed, sigma=sigma, n=n, L=L)
+    k = ell - (n - 2)
+    empty_vectors = 0
+    for eta in range(0, -(L - 1) * k - 1, -1):
+        cell = brute_cell(model, eta, ell)
+        want = [word for _, word in cell]
+        assert list(enum_pwd(model, eta, ell)) == want
+        assert list(enum_pwd(model, eta, ell, batch_size=2)) == want
+        assert count_guesses(model, eta, ell) == len(want)
+        used = {vec for vec, _ in cell}
+        empty_vectors += sum(tuple(-v for v in vec) not in used
+                             for vec in enum_level_vectors(eta, k, -(L - 1)))
+    assert empty_vectors > 0
+
+
+def test_full_order_of_a_boosted_view():
+    model = synth.random_model(35, sigma=4, L=6)
+    view = boost_conditionals(model, ngram_set("abca", 3) | ngram_set("dd", 3), 7.5)
+    ell = 5
+    changed = 0
+    for eta in range(0, -5 * (ell - 1) - 1, -1):
+        want = [word for _, word in brute_cell(view, eta, ell)]
+        assert list(enum_pwd(view, eta, ell)) == want
+        assert count_guesses(view, eta, ell) == len(want)
+        changed += want != [word for _, word in brute_cell(model, eta, ell)]
+    assert changed > 0
+
+
+def test_batches_stay_within_batch_size(monkeypatch):
+    model = synth.random_model(36, sigma=6, L=2)
+    ell, eta = 6, -2
+    cell = brute_cell(model, eta, ell)
+    assert max(Counter(vec for vec, _ in cell).values()) > 100
+    words = [word for _, word in cell]
+
+    rows = []
+    decode = Alphabet.decode_batch
+
+    def recording(self, codes):
+        rows.append(codes.shape[0])
+        return decode(self, codes)
+
+    monkeypatch.setattr(Alphabet, "decode_batch", recording)
+    assert list(enum_pwd(model, eta, ell)) == words
+    rows.clear()
+    assert list(enum_pwd(model, eta, ell, batch_size=7)) == words
+    assert max(rows) <= 7
+    assert sum(rows) == len(words)
