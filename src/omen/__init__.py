@@ -5,7 +5,6 @@ per-target boosting from personal information."""
 from .boost import (
     ALPHA_CAP,
     DEFAULT_GUESS_EXPONENT,
-    BoostedModel,
     BoostProfile,
     BoostSets,
     boost_conditionals,

@@ -5,7 +5,8 @@ domain: boosted_probability applies the closed form p_old * alpha^s * (1-alpha*p
 so objective_S can scan an alpha grid without touching the model. Guessing
 works in the level domain: plus_stream adds round(ln alpha) to hint-gram
 levels (clamped to 0) and runs the ordinary scheduler, since at attack time
-the password, and with it the S/T split, is unknown.
+the password, and with it the S/T split, is unknown. A boosted model is an
+ordinary NgramModel whose conditional tables differ from the base's.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from .corpus import ATTRIBUTE_NAMES, HintRecord
 from .errors import OmenError, ScoringError
-from .model import password_probability
-from .scheduler import Guess, guess_stream
+from .model import NgramModel, password_probability
+from .scheduler import guess_stream
 from .similarity import ngram_set
 
 logger = logging.getLogger(__name__)
@@ -133,10 +134,7 @@ def _gram_rank(model, gram: str) -> int | None:
         raise ValueError(f"gram {gram!r} does not have {model.n} characters")
     if not model.alphabet.accepts(gram):
         return None
-    rank = 0
-    for ch in gram:
-        rank = rank * model.alphabet.size + model.alphabet.index(ch)
-    return rank
+    return model.alphabet.rank(gram)
 
 
 def _grams_by_context(model, grams) -> dict[int, list[int]]:
@@ -150,94 +148,45 @@ def _grams_by_context(model, grams) -> dict[int, list[int]]:
     return by_ctx
 
 
-def _raised_level_rows(model, bonus: dict[str, int]) -> dict[int, np.ndarray]:
-    """Level rows of every context a representable gram in bonus touches, with
-    each such gram's level raised by its own bonus and clamped to 0."""
-    sigma = model.alphabet.size
-    rows: dict[int, np.ndarray] = {}
+def _raised_levels(model, bonus: dict[str, int]) -> np.ndarray:
+    """A copy of the model's conditional levels in which each representable
+    gram in bonus is raised by its own bonus, clamped to 0."""
+    levels = model.cond_level.copy()
+    flat = levels.reshape(-1)
     for g, b in bonus.items():
         rank = _gram_rank(model, g)
-        if rank is None:
-            continue
-        ctx, z = divmod(rank, sigma)
-        row = rows.get(ctx)
-        if row is None:
-            row = rows[ctx] = np.array(
-                [model.conditional_level(ctx, y) for y in range(sigma)], dtype=np.int64)
-        row[z] = min(0, int(row[z]) + b)
-    return {ctx: row.astype(np.int8) for ctx, row in rows.items()}
+        if rank is not None:
+            flat[rank] = min(0, int(flat[rank]) + b)
+    return levels
 
 
-class BoostedModel:
-    """Sparse overlay over an immutable base model.
-
-    Only contexts touched by the boost store replacement rows; everything
-    else reads through. Satisfies the same accessor surface the scoring and
-    enumeration code use, so it can stand in for the base anywhere.
-    """
-
-    def __init__(self, base, prob_rows: dict[int, np.ndarray],
-                 level_rows: dict[int, np.ndarray]):
-        self.base = base
-        self.alphabet = base.alphabet
-        self.n = base.n
-        self.L = base.L
-        self._prob_rows = prob_rows
-        self._level_rows = level_rows
-
-    def context_rank(self, text: str) -> int:
-        return self.base.context_rank(text)
-
-    def initial_probability(self, rank: int) -> float:
-        return self.base.initial_probability(rank)
-
-    def initial_level_at(self, rank: int) -> int:
-        return self.base.initial_level_at(rank)
-
-    def conditional_probability(self, ctx: int, z: int) -> float:
-        row = self._prob_rows.get(ctx)
-        if row is None:
-            return self.base.conditional_probability(ctx, z)
-        return float(row[z])
-
-    def conditional_level(self, ctx: int, z: int) -> int:
-        row = self._level_rows.get(ctx)
-        if row is None:
-            return self.base.conditional_level(ctx, z)
-        return int(row[z])
-
-    def init_level_neg(self) -> np.ndarray:
-        return self.base.init_level_neg()
-
-    def cond_level_neg(self) -> np.ndarray:
-        sigma = self.alphabet.size
-        neg = self.base.cond_level_neg().reshape(-1, sigma).copy()
-        for ctx, row in self._level_rows.items():
-            neg[ctx] = -row.astype(np.int64)
-        return neg.reshape(-1)
+def _with_conditionals(model, cond_prob: np.ndarray, cond_level: np.ndarray) -> NgramModel:
+    """The model with its conditional tables replaced; boosted rows are only
+    approximately normalised, so they are not validated."""
+    return NgramModel(model.alphabet, model.n, model.L, model.init_prob, cond_prob,
+                      model.init_level, cond_level, delta=model.delta, validate=False)
 
 
-def boost_conditionals(model, hint_grams, alpha: float, exact_renorm: bool = False) -> BoostedModel:
-    """Boosted view: hint grams get alpha times their probability.
+def boost_conditionals(model, hint_grams, alpha: float, exact_renorm: bool = False) -> NgramModel:
+    """Boosted model: hint grams get alpha times their probability.
 
     Other characters in a touched context are scaled by (1 - alpha*p_hat)
     where p_hat is the context's total boosted mass, leaving the row summing
     to approximately 1; exact_renorm divides by (1 - p_hat) instead so it
     sums to exactly 1. If alpha*p_hat reaches 1, boosted grams share the
     whole row proportionally and the rest drop to 0. Levels of boosted grams
-    rise by round(ln alpha), clamped to 0.
+    rise by round(ln alpha), clamped to 0. Untouched rows keep the base
+    model's values.
     """
     if alpha < 1.0:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     hint_grams = list(hint_grams)
     bonus = boost_level_for(alpha, model.L)
-    level_rows = _raised_level_rows(model, dict.fromkeys(hint_grams, bonus))
-    prob_rows: dict[int, np.ndarray] = {}
-    sigma = model.alphabet.size
+    cond_prob = model.cond_prob.copy()
     for ctx, chars in _grams_by_context(model, hint_grams).items():
-        base_prob = np.array([model.conditional_probability(ctx, z) for z in range(sigma)])
+        base_prob = model.cond_prob[ctx]
         p_hat = float(base_prob[chars].sum())
-        prob = base_prob.copy()
+        prob = cond_prob[ctx]
         if alpha == 1.0:
             pass  # multiplying by 1 moves no mass; the row stays as it is
         elif alpha * p_hat >= 1.0:
@@ -250,8 +199,8 @@ def boost_conditionals(model, hint_grams, alpha: float, exact_renorm: bool = Fal
             else:
                 prob *= 1.0 - alpha * p_hat
             prob[chars] = alpha * base_prob[chars]
-        prob_rows[ctx] = prob
-    return BoostedModel(model, prob_rows, level_rows)
+    return _with_conditionals(model, cond_prob,
+                              _raised_levels(model, dict.fromkeys(hint_grams, bonus)))
 
 
 def boosted_probability(model, sets: BoostSets, alpha: float, pwd: str) -> float:
@@ -284,7 +233,7 @@ def boosted_probability(model, sets: BoostSets, alpha: float, pwd: str) -> float
                 p_hat = 0.0
                 if model.alphabet.accepts(ctx_str):
                     ctx = model.context_rank(ctx_str)
-                    p_hat = sum(model.conditional_probability(ctx, z)
+                    p_hat = sum(float(model.cond_prob[ctx, z])
                                 for z in hint_by_ctx.get(ctx, ()))
                 phat_cache[ctx_str] = p_hat
             t_factor = 1.0 - alpha * p_hat
@@ -355,7 +304,8 @@ def objective_S(records: list[HintRecord], attribute: str, alpha: float, model,
 
 
 def default_alpha_grid(lo: float = 1.0, hi: float = ALPHA_CAP, step: float = 0.1) -> list[float]:
-    count = int(round((hi - lo) / step)) + 1
+    """lo, lo + step, ... up to hi, never past it (1e-9 absorbs rounding)."""
+    count = math.floor((hi - lo) / step + 1e-9) + 1
     return [round(lo + i * step, 10) for i in range(count)]
 
 
@@ -399,5 +349,5 @@ def plus_stream(model, profile: BoostProfile, hints, budget: int,
                 if bonus.get(g, 0) < blevel:
                     bonus[g] = blevel
     if bonus:
-        model = BoostedModel(model, {}, _raised_level_rows(model, bonus))
+        model = _with_conditionals(model, model.cond_prob, _raised_levels(model, bonus))
     return guess_stream(model, budget, feedback, lengths)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,12 +90,12 @@ class Alphabet:
     def accepts(self, text: str) -> bool:
         return all(ch in self._index for ch in text)
 
-    def encode(self, text: str) -> np.ndarray:
-        """Map a string to an int64 array of character ranks."""
-        try:
-            return np.fromiter((self._index[ch] for ch in text), dtype=np.int64, count=len(text))
-        except KeyError as exc:
-            raise KeyError(f"character {exc.args[0]!r} not in alphabet") from None
+    def rank(self, text: str) -> int:
+        """Base-|alphabet| value of text's character ranks: a gram's rank."""
+        r = 0
+        for ch in text:
+            r = r * self.size + self.index(ch)
+        return r
 
     def decode_batch(self, codes: np.ndarray) -> list[str]:
         """Turn an (m, ell) array of character ranks into m strings."""
@@ -112,11 +111,6 @@ class Corpus:
 
     passwords: list[str]
     rejected_count: int = 0
-    length_histogram: Counter = field(default_factory=Counter)
-
-    def __post_init__(self):
-        if not self.length_histogram and self.passwords:
-            self.length_histogram = Counter(len(p) for p in self.passwords)
 
     def __len__(self) -> int:
         return len(self.passwords)

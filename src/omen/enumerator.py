@@ -50,15 +50,17 @@ def _tables(model) -> _Tables:
     C = sigma ** (model.n - 1)
     index = np.int32 if max(L, sigma) * C < 2**31 else np.int64
 
-    init_neg = model.init_level_neg()
+    init_neg = -model.init_level
     init_grams = np.argsort(init_neg, kind="stable").astype(index)
     init_start = np.zeros(L + 1, dtype=np.int64)
     np.cumsum(np.bincount(init_neg, minlength=L), out=init_start[1:])
 
     # a stable sort by level keeps (context, character) order inside a level;
     # transition c*sigma+z leads to context (c*sigma+z) % C
-    cond_neg = model.cond_level_neg().astype(np.uint8)
-    succ_next = (np.argsort(cond_neg, kind="stable") % C).astype(index)
+    cond_neg = (-model.cond_level).reshape(-1)
+    order = np.argsort(cond_neg, kind="stable")
+    succ_next = np.remainder(order, C, out=order).astype(index)
+    del order  # free the int64 sort order before the next C*sigma temporaries
     block = cond_neg.astype(index).reshape(C, sigma) * C + np.arange(C, dtype=index)[:, None]
     succ_start = np.zeros(L * C + 1, dtype=index)
     np.cumsum(np.bincount(block.reshape(-1), minlength=L * C), out=succ_start[1:])
@@ -164,15 +166,14 @@ def _check_args(model, eta: int, ell: int) -> int:
     return k
 
 
-def enum_pwd(model, eta: int, ell: int, batch_size: int = _BATCH) -> Iterator[str]:
+def enum_pwd(model, eta: int, ell: int) -> Iterator[str]:
     """Stream every length-ell password whose level sum equals eta, once each."""
     k = _check_args(model, eta, ell)
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    return _generate(model, eta, ell, k, batch_size)
+    return _generate(model, eta, ell, k)
 
 
-def _generate(model, eta, ell, k, batch_size):
+def _generate(model, eta, ell, k):
+    batch_size = _BATCH
     tabs = _tables(model)
     alphabet = model.alphabet
     walk = _Walk(model, tabs, -eta, k, batch_size)
@@ -380,6 +381,6 @@ def count_guesses(model, eta: int, ell: int) -> int:
         if layer.dtype != object and int(layer.max()) * sigma >= 2**63:
             layer = layer.astype(object)
         layer = _count_dp(tabs, layer)
-    init_neg = model.init_level_neg()
+    init_neg = -model.init_level.astype(np.int64)
     grams = np.flatnonzero(init_neg <= budget)
     return int(sum(layer[budget - init_neg[grams], grams].tolist()))

@@ -81,7 +81,7 @@ def _encode_concat(alphabet: Alphabet, passwords) -> tuple[np.ndarray, np.ndarra
 
 
 class NgramModel:
-    """Immutable trained model; probability and level tables plus constants."""
+    """Immutable trained model: the probability and level tables."""
 
     def __init__(
         self,
@@ -111,9 +111,6 @@ class NgramModel:
         self.cond_level = np.ascontiguousarray(cond_level, dtype=np.int8).reshape(C, sigma)
         for arr in (self.init_prob, self.cond_prob, self.init_level, self.cond_level):
             arr.setflags(write=False)
-        self.c2 = math.exp(-(L - 1))
-        self.c1_init = (1.0 - self.c2) / float(self.init_prob.max())
-        self.c1_cond = (1.0 - self.c2) / float(self.cond_prob.max())
         if validate:
             self._check()
 
@@ -130,42 +127,11 @@ class NgramModel:
             if levels.max() != 0:
                 raise ValueError("no gram at level 0")
 
-    @property
-    def sigma(self) -> int:
-        return self.alphabet.size
-
-    @property
-    def context_count(self) -> int:
-        return self.alphabet.size ** (self.n - 1)
-
     def context_rank(self, text: str) -> int:
         """Rank of an (n-1)-character context string."""
         if len(text) != self.n - 1:
             raise ValueError(f"context must have {self.n - 1} characters")
-        r = 0
-        for ch in text:
-            r = r * self.sigma + self.alphabet.index(ch)
-        return r
-
-    # scoring accessors; BoostedModel overrides the conditional pair
-    def initial_probability(self, rank: int) -> float:
-        return float(self.init_prob[rank])
-
-    def conditional_probability(self, ctx: int, z: int) -> float:
-        return float(self.cond_prob[ctx, z])
-
-    def initial_level_at(self, rank: int) -> int:
-        return int(self.init_level[rank])
-
-    def conditional_level(self, ctx: int, z: int) -> int:
-        return int(self.cond_level[ctx, z])
-
-    # enumeration accessors: negated levels as int64, flat layout
-    def init_level_neg(self) -> np.ndarray:
-        return (-self.init_level).astype(np.int64)
-
-    def cond_level_neg(self) -> np.ndarray:
-        return (-self.cond_level).astype(np.int64).reshape(-1)
+        return self.alphabet.rank(text)
 
 
 def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
@@ -229,45 +195,45 @@ def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
     return NgramModel(alphabet, n, L, init_prob, cond_prob, init_level, cond_level, delta=delta)
 
 
-def _checked_ranks(model, pwd: str) -> list[int]:
-    if len(pwd) < model.n - 1:
-        raise ScoringError(f"password shorter than {model.n - 1} characters")
+def _chain(model, pwd: str) -> tuple[int, list[tuple[int, int]]]:
+    """The initial gram's rank, then the (context, character) rank of each step."""
+    n1 = model.n - 1
+    if len(pwd) < n1:
+        raise ScoringError(f"password shorter than {n1} characters")
+    alphabet = model.alphabet
     try:
-        return [model.alphabet.index(ch) for ch in pwd]
+        first = alphabet.rank(pwd[:n1])
+        chars = [alphabet.index(ch) for ch in pwd[n1:]]
     except KeyError as exc:
         raise ScoringError(str(exc)) from None
+    sigma = alphabet.size
+    C = sigma**n1
+    ctx = first
+    steps = []
+    for z in chars:
+        steps.append((ctx, z))
+        ctx = (ctx * sigma + z) % C
+    return first, steps
 
 
 def password_probability(model, pwd: str) -> float:
     """Chain probability: initial gram times each conditional step."""
-    ranks = _checked_ranks(model, pwd)
-    n1 = model.n - 1
-    sigma = model.alphabet.size
-    C = sigma**n1
-    ctx = 0
-    for r in ranks[:n1]:
-        ctx = ctx * sigma + r
-    p = model.initial_probability(ctx)
-    for z in ranks[n1:]:
-        p *= model.conditional_probability(ctx, z)
-        ctx = (ctx * sigma + z) % C
-    return float(p)
+    first, steps = _chain(model, pwd)
+    cond_prob = model.cond_prob
+    p = float(model.init_prob[first])
+    for step in steps:
+        p *= float(cond_prob[step])
+    return p
 
 
 def password_level(model, pwd: str) -> int:
     """Chain level: initial gram level plus each conditional step's level."""
-    ranks = _checked_ranks(model, pwd)
-    n1 = model.n - 1
-    sigma = model.alphabet.size
-    C = sigma**n1
-    ctx = 0
-    for r in ranks[:n1]:
-        ctx = ctx * sigma + r
-    total = model.initial_level_at(ctx)
-    for z in ranks[n1:]:
-        total += model.conditional_level(ctx, z)
-        ctx = (ctx * sigma + z) % C
-    return int(total)
+    first, steps = _chain(model, pwd)
+    cond_level = model.cond_level
+    total = int(model.init_level[first])
+    for step in steps:
+        total += int(cond_level[step])
+    return total
 
 
 def save_model(model: NgramModel, path) -> None:
@@ -292,8 +258,6 @@ def load_model(path) -> NgramModel:
     cond_level i8[C*sigma], each C-ordered in gram rank order.
 
     The smoothing delta is not stored; a loaded model reports delta=None.
-    (c1, c2) are reconstructed from L and the stored table maxima, which
-    reproduces the training-time constants exactly.
     """
     with open(path, "rb") as fh:
         blob = fh.read()

@@ -277,7 +277,7 @@ def test_criterion_09_closed_form_consistency():
         sets = derive_sets(pwd, hint, model.n)
         worst_mass = 0.0
         for ctx, zs in _grams_by_context(model, sets.hint_grams).items():
-            mass = sum(model.conditional_probability(ctx, z) for z in zs)
+            mass = sum(model.cond_prob[ctx, z] for z in zs)
             worst_mass = max(worst_mass, alpha * mass)
         if worst_mass > 0.3:
             continue

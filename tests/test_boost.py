@@ -113,15 +113,15 @@ def test_boost_conditionals_by_hand():
     # boost the rare gram aaa: p_hat = p(a|aa) = 0.01/1.02, far from the cap
     view = boost_conditionals(model, {"aaa"}, alpha)
     p_a = 0.01 / 1.02
-    assert view.conditional_probability(0, 0) == pytest.approx(alpha * p_a)
-    assert view.conditional_probability(0, 1) == pytest.approx(
+    assert view.cond_prob[0, 0] == pytest.approx(alpha * p_a)
+    assert view.cond_prob[0, 1] == pytest.approx(
         (1.01 / 1.02) * (1 - alpha * p_a))
-    # untouched context reads through
-    assert view.conditional_probability(1, 1) == model.conditional_probability(1, 1)
+    # an untouched context keeps the base row
+    assert view.cond_prob[1, 1] == model.cond_prob[1, 1]
     # boosted level rises by round(ln 2) = 1, clamped at 0
-    base_lvl = model.conditional_level(0, 0)
-    assert view.conditional_level(0, 0) == min(0, base_lvl + 1)
-    assert view.conditional_level(0, 1) == model.conditional_level(0, 1)
+    base_lvl = model.cond_level[0, 0]
+    assert view.cond_level[0, 0] == min(0, base_lvl + 1)
+    assert view.cond_level[0, 1] == model.cond_level[0, 1]
 
 
 def test_boost_exact_renorm_rows_sum_to_one():
@@ -129,7 +129,7 @@ def test_boost_exact_renorm_rows_sum_to_one():
     grams = {"abc", "bba", "cad"}
     view = boost_conditionals(model, grams, 1.7, exact_renorm=True)
     for ctx in _grams_by_context(model, grams):
-        row = [view.conditional_probability(ctx, z) for z in range(4)]
+        row = [view.cond_prob[ctx, z] for z in range(4)]
         assert sum(row) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -139,17 +139,16 @@ def test_boost_alpha_one_is_identity_both_renorms():
         view = boost_conditionals(model, {"abc"}, 1.0, exact_renorm=exact)
         ctx = model.context_rank("ab")
         for z in range(4):
-            assert view.conditional_probability(ctx, z) == \
-                model.conditional_probability(ctx, z)
-            assert view.conditional_level(ctx, z) == model.conditional_level(ctx, z)
+            assert view.cond_prob[ctx, z] == model.cond_prob[ctx, z]
+            assert view.cond_level[ctx, z] == model.cond_level[ctx, z]
 
 
 def test_boost_cap_regime_zeroes_the_rest():
     # force alpha*p_hat >= 1: boost the dominant character of a context
     model = two_letter_model()
     view = boost_conditionals(model, {"aab"}, 5.0)  # p_hat = 1.01/1.02
-    assert view.conditional_probability(0, 1) == pytest.approx(1.0)
-    assert view.conditional_probability(0, 0) == 0.0
+    assert view.cond_prob[0, 1] == pytest.approx(1.0)
+    assert view.cond_prob[0, 0] == 0.0
 
 
 def test_boost_rejects_alpha_below_one():
@@ -208,7 +207,7 @@ def test_boosted_probability_counts_repeated_occurrences():
 def max_alpha_phat(model, sets, alpha):
     worst = 0.0
     for ctx, chars in _grams_by_context(model, sets.hint_grams).items():
-        p_hat = sum(model.conditional_probability(ctx, z) for z in chars)
+        p_hat = sum(model.cond_prob[ctx, z] for z in chars)
         worst = max(worst, alpha * p_hat)
     return worst
 
@@ -319,6 +318,13 @@ def test_default_alpha_grid_shape():
     assert len(grid) == 41
     steps = {round(b - a, 10) for a, b in zip(grid, grid[1:])}
     assert steps == {0.1}
+
+
+def test_default_alpha_grid_never_passes_hi():
+    assert default_alpha_grid(1, 1.35, 0.1) == [1.0, 1.1, 1.2, 1.3]
+    # an end point reached only up to rounding is still included
+    assert default_alpha_grid(1, 1.3, 0.1) == [1.0, 1.1, 1.2, 1.3]
+    assert default_alpha_grid(2, 2, 0.5) == [2.0]
 
 
 def test_estimate_alpha_grid_validation():

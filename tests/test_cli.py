@@ -14,6 +14,13 @@ from omen.cli import main
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
+def checkout_env() -> dict[str, str]:
+    """Environment for a child Python that imports the same omen as this process."""
+    src = str(Path(omen.__file__).resolve().parent.parent)
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     """Corpus, trained model, hints, and profile shared by the CLI tests."""
@@ -309,14 +316,10 @@ def test_console_script_is_wired(workdir):
     module, attr = scripts["omen"].split(":")
     wrapper = (f"import sys; from {module} import {attr};"
                f"sys.argv[0] = 'omen'; sys.exit({attr}())")
-    # the child imports the same checkout as this process
-    src = str(Path(omen.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", wrapper, "enum",
                           "--model", str(workdir["model"]),
                           "--level", "-2", "--length", "4", "--quiet"],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=checkout_env())
     assert run.returncode == 0, run.stderr
     assert len(run.stdout.splitlines()) >= 1
 
@@ -330,6 +333,6 @@ def test_broken_pipe_is_not_an_error(workdir):
     )
     head = subprocess.run(
         f"{sys.executable} -c \"{script}\" | head -n 1",
-        shell=True, capture_output=True, text=True)
+        shell=True, capture_output=True, text=True, env=checkout_env())
     assert head.returncode == 0
     assert len(head.stdout.splitlines()) == 1

@@ -57,8 +57,6 @@ def test_load_passwords_filters_and_counts(tmp_path):
     corpus = load_passwords(p)
     assert corpus.passwords == ["abc", "password", "zzz"]
     assert corpus.rejected_count == 3
-    assert corpus.length_histogram[3] == 2
-    assert corpus.length_histogram[8] == 1
 
 
 def test_load_passwords_length_bounds(tmp_path):

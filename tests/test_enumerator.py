@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import synth
 from omen import Alphabet, NgramModel, boost_conditionals, password_level
+from omen import enumerator
 from omen.enumerator import count_guesses, enum_level_vectors, enum_pwd
 from omen.similarity import ngram_set
 
@@ -161,11 +162,13 @@ def test_enumeration_deterministic():
     assert a == b and len(a) > 0
 
 
-def test_small_batches_change_nothing():
+def test_small_batches_change_nothing(monkeypatch):
     model = synth.random_model(12, sigma=4, L=5)
     for eta in (0, -2, -5):
         full = list(enum_pwd(model, eta, 5))
-        tiny = list(enum_pwd(model, eta, 5, batch_size=3))
+        with monkeypatch.context() as patch:
+            patch.setattr(enumerator, "_BATCH", 3)
+            tiny = list(enum_pwd(model, eta, 5))
         assert full == tiny
 
 
@@ -225,7 +228,7 @@ def brute_cell(model, eta: int, ell: int) -> list[tuple[tuple[int, ...], str]]:
     """(negated level vector, string) for every string of the cell, in the
     engine's order: level vector descending, then character ranks ascending.
 
-    Levels come from the scoring accessors, so a boosted view is honoured.
+    Levels are read from the model's own tables, so a boosted model is honoured.
     """
     sigma = model.alphabet.size
     n1 = model.n - 1
@@ -235,9 +238,9 @@ def brute_cell(model, eta: int, ell: int) -> list[tuple[tuple[int, ...], str]]:
         ctx = 0
         for r in tup[:n1]:
             ctx = ctx * sigma + r
-        vec = [model.initial_level_at(ctx)]
+        vec = [int(model.init_level[ctx])]
         for z in tup[n1:]:
-            vec.append(model.conditional_level(ctx, z))
+            vec.append(int(model.cond_level[ctx, z]))
             ctx = (ctx * sigma + z) % C
         if sum(vec) == eta:
             keyed.append((tuple(-v for v in vec), tup))
@@ -248,7 +251,7 @@ def brute_cell(model, eta: int, ell: int) -> list[tuple[tuple[int, ...], str]]:
 @pytest.mark.parametrize("seed,sigma,n,L,ell", [
     (31, 4, 2, 4, 6), (32, 3, 3, 5, 6), (33, 3, 4, 4, 6), (34, 4, 3, 10, 5),
 ])
-def test_full_order_matches_brute_force_sort(seed, sigma, n, L, ell):
+def test_full_order_matches_brute_force_sort(seed, sigma, n, L, ell, monkeypatch):
     model = synth.random_model(seed, sigma=sigma, n=n, L=L)
     k = ell - (n - 2)
     empty_vectors = 0
@@ -256,7 +259,9 @@ def test_full_order_matches_brute_force_sort(seed, sigma, n, L, ell):
         cell = brute_cell(model, eta, ell)
         want = [word for _, word in cell]
         assert list(enum_pwd(model, eta, ell)) == want
-        assert list(enum_pwd(model, eta, ell, batch_size=2)) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(enumerator, "_BATCH", 2)
+            assert list(enum_pwd(model, eta, ell)) == want
         assert count_guesses(model, eta, ell) == len(want)
         used = {vec for vec, _ in cell}
         empty_vectors += sum(tuple(-v for v in vec) not in used
@@ -264,16 +269,22 @@ def test_full_order_matches_brute_force_sort(seed, sigma, n, L, ell):
     assert empty_vectors > 0
 
 
-def test_full_order_of_a_boosted_view():
-    model = synth.random_model(35, sigma=4, L=6)
-    view = boost_conditionals(model, ngram_set("abca", 3) | ngram_set("dd", 3), 7.5)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_full_order_of_a_boosted_view(n):
+    model = synth.random_model(35, sigma=4, n=n, L=6)
     ell = 5
+    k = ell - (n - 2)
+    cells = range(0, -5 * k - 1, -1)
+    # enumerate the base first so its cached tables exist: a boosted model
+    # that carried them over would enumerate the base's levels
+    base = {eta: list(enum_pwd(model, eta, ell)) for eta in cells}
+    view = boost_conditionals(model, ngram_set("abca", n) | ngram_set("dd", n), 7.5)
     changed = 0
-    for eta in range(0, -5 * (ell - 1) - 1, -1):
+    for eta in cells:
         want = [word for _, word in brute_cell(view, eta, ell)]
         assert list(enum_pwd(view, eta, ell)) == want
         assert count_guesses(view, eta, ell) == len(want)
-        changed += want != [word for _, word in brute_cell(model, eta, ell)]
+        changed += want != base[eta]
     assert changed > 0
 
 
@@ -294,6 +305,7 @@ def test_batches_stay_within_batch_size(monkeypatch):
     monkeypatch.setattr(Alphabet, "decode_batch", recording)
     assert list(enum_pwd(model, eta, ell)) == words
     rows.clear()
-    assert list(enum_pwd(model, eta, ell, batch_size=7)) == words
+    monkeypatch.setattr(enumerator, "_BATCH", 7)
+    assert list(enum_pwd(model, eta, ell)) == words
     assert max(rows) <= 7
     assert sum(rows) == len(words)

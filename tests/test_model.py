@@ -72,23 +72,23 @@ def test_train_smoothed_probabilities_by_hand():
     a, b = 0, 1
     aa, ab, ba, bb = 0, 1, 2, 3
     # conditionals: one observation each for aa->b and ab->b
-    assert model.conditional_probability(aa, b) == pytest.approx(1.01 / 1.02)
-    assert model.conditional_probability(aa, a) == pytest.approx(0.01 / 1.02)
-    assert model.conditional_probability(ab, b) == pytest.approx(1.01 / 1.02)
+    assert model.cond_prob[aa, b] == pytest.approx(1.01 / 1.02)
+    assert model.cond_prob[aa, a] == pytest.approx(0.01 / 1.02)
+    assert model.cond_prob[ab, b] == pytest.approx(1.01 / 1.02)
     for ctx in (ba, bb):  # unseen contexts flatten to uniform
-        assert model.conditional_probability(ctx, a) == pytest.approx(0.5)
+        assert model.cond_prob[ctx, a] == pytest.approx(0.5)
     # initial grams: aa and ab once each, smoothed over 4 cells
-    assert model.initial_probability(aa) == pytest.approx(1.01 / 2.04)
-    assert model.initial_probability(ba) == pytest.approx(0.01 / 2.04)
-    assert model.initial_probability(aa) + model.initial_probability(ab) + \
-        model.initial_probability(ba) + model.initial_probability(bb) == pytest.approx(1.0)
+    assert model.init_prob[aa] == pytest.approx(1.01 / 2.04)
+    assert model.init_prob[ba] == pytest.approx(0.01 / 2.04)
+    assert model.init_prob[aa] + model.init_prob[ab] + \
+        model.init_prob[ba] + model.init_prob[bb] == pytest.approx(1.0)
 
 
 def test_train_accepts_entries_of_exactly_context_length():
     # "ab" carries an initial gram but no transition; delta=1 flattens rows
     model = train(Corpus(["ab"]), alphabet=Alphabet("ab"), n=3, L=10, delta=1.0)
-    assert model.initial_probability(1) == pytest.approx(2 / 5)
-    assert model.initial_probability(0) == pytest.approx(1 / 5)
+    assert model.init_prob[1] == pytest.approx(2 / 5)
+    assert model.init_prob[0] == pytest.approx(1 / 5)
     cond = model.cond_prob
     assert np.allclose(cond, 0.5)
 
@@ -186,8 +186,6 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.init_level, model.init_level)
     assert np.array_equal(loaded.cond_level, model.cond_level)
     assert loaded.delta is None
-    assert loaded.c1_init == pytest.approx(model.c1_init)
-    assert loaded.c1_cond == pytest.approx(model.c1_cond)
 
 
 def test_save_is_deterministic(tmp_path):
