@@ -56,14 +56,7 @@ from .model import (
     save_model,
     train,
 )
-from .scheduler import (
-    Guess,
-    ScheduleEntry,
-    ScheduleState,
-    guess_stream,
-    next_step,
-    schedule_init,
-)
+from .scheduler import Guess, guess_stream
 from .similarity import (
     SimilarityRow,
     attribute_stats,

@@ -138,13 +138,16 @@ def _gram_rank(model, gram: str) -> int | None:
 
 
 def _grams_by_context(model, grams) -> dict[int, list[int]]:
-    """Map alphabet-representable grams to (context rank, char rank) groups."""
+    """Map alphabet-representable grams to (context rank, char ranks) groups.
+
+    Char ranks ascend within a group, so sums over a group do not depend on
+    the iteration order of a set of grams (that is, on the hash seed).
+    """
     sigma = model.alphabet.size
     by_ctx: dict[int, list[int]] = {}
-    for g in grams:
-        rank = _gram_rank(model, g)
-        if rank is not None:
-            by_ctx.setdefault(rank // sigma, []).append(rank % sigma)
+    ranks = (_gram_rank(model, g) for g in grams)
+    for rank in sorted(r for r in ranks if r is not None):
+        by_ctx.setdefault(rank // sigma, []).append(rank % sigma)
     return by_ctx
 
 

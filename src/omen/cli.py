@@ -38,6 +38,8 @@ from .similarity import MAX_ATTRIBUTE, attribute_stats, cdf_similarity, policy_c
 
 logger = logging.getLogger("omen")
 
+_MAX_GRID_POINTS = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors mapped to exit code 1 instead of 2."""
@@ -50,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
 def _parse_checkpoints(text: str) -> list[int]:
     try:
         cps = [int(float(part)) for part in text.split(",") if part.strip()]
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: int() of inf
         raise ValueError(f"bad checkpoint list {text!r}") from None
     if not cps:
         raise ValueError("empty checkpoint list")
@@ -62,8 +64,10 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, step = (float(p) for p in text.split(":"))
     except ValueError:
         raise ValueError(f"bad grid {text!r}, expected lo:hi:step") from None
-    if step <= 0 or hi < lo:
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise ValueError(f"bad grid {text!r}")
+    if (hi - lo) / step >= _MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
     return default_alpha_grid(lo, hi, step)
 
 

@@ -154,16 +154,21 @@ def _pack(vec: list[int], first: int, total: int, min_level: int) -> None:
     vec[first:] = head + [min_level] * full
 
 
-def _check_args(model, eta: int, ell: int) -> int:
-    """Validate (eta, ell) against the model; returns the vector length k."""
+def lowest_level(model, ell: int) -> int:
+    """The lowest level sum of a length-ell password: every gram at level
+    -(L-1). Raises ValueError for a length the model cannot enumerate."""
     floor = max(3, model.n - 1)
     if ell < floor:
         raise ValueError(f"length must be >= {floor}, got {ell}")
-    k = ell - (model.n - 2)
-    min_total = -(model.L - 1) * k
+    return -(model.L - 1) * (ell - (model.n - 2))
+
+
+def _check_args(model, eta: int, ell: int) -> int:
+    """Validate (eta, ell) against the model; returns the vector length k."""
+    min_total = lowest_level(model, ell)
     if not min_total <= eta <= 0:
         raise ValueError(f"level must be in [{min_total}, 0] for length {ell}, got {eta}")
-    return k
+    return ell - (model.n - 2)
 
 
 def enum_pwd(model, eta: int, ell: int) -> Iterator[str]:

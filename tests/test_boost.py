@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +153,32 @@ def test_boost_cap_regime_zeroes_the_rest():
     view = boost_conditionals(model, {"aab"}, 5.0)  # p_hat = 1.01/1.02
     assert view.cond_prob[0, 1] == pytest.approx(1.0)
     assert view.cond_prob[0, 0] == 0.0
+
+
+_HASH_SEED_PROBE = """
+import synth
+from omen import boost_conditionals, boosted_probability, derive_sets_multi
+model = synth.random_model(3, sigma=8, L=10)
+chars = model.alphabet.chars
+pwd = "ab" + chars[1] + "aa"
+sets = derive_sets_multi(pwd, ["ab" + c for c in chars[2:8]], model.n)
+row = boost_conditionals(model, sets.hint_grams, 1.7).cond_prob[model.context_rank("ab")]
+print(boosted_probability(model, sets, 1.7, pwd).hex(), row.tobytes().hex())
+"""
+
+
+def test_boost_sums_do_not_depend_on_hash_seed():
+    # six hint grams share context "ab"; their p_hat is summed in one fixed
+    # order whatever order the hint-gram set iterates in
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    outputs = set()
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.add(run.stdout)
+    assert len(outputs) == 1, outputs
 
 
 def test_boost_rejects_alpha_below_one():

@@ -176,11 +176,18 @@ def test_eval_reruns_identically(workdir):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_crack_bad_checkpoints_exit_1(workdir, capsys):
-    rc = main(["crack", "--model", str(workdir["model"]), "--test",
-               str(workdir["test"]), "--budget", "100",
-               "--checkpoints", "abc", "--quiet"])
-    assert rc == 1
+def test_crack_bad_checkpoints_exit_1(workdir, capsys, caplog):
+    out = workdir["root"] / "never_written.csv"
+    for checkpoints in ("abc", "10,inf", "10,nan", "1e400"):
+        for extra in ([], ["--out", str(out)]):
+            cmd = "eval" if extra else "crack"
+            caplog.clear()
+            rc = main([cmd, "--model", str(workdir["model"]), "--test",
+                       str(workdir["test"]), "--budget", "100",
+                       "--checkpoints", checkpoints, "--quiet", *extra])
+            assert rc == 1, (cmd, checkpoints)
+            assert "bad checkpoint list" in caplog.text
+    assert not out.exists()
     capsys.readouterr()
 
 
@@ -238,11 +245,15 @@ def test_alpha_reports_boost(workdir, capsys):
     assert int(blevel) == min(9, max(0, round(math.log(float(alpha)))))
 
 
-def test_alpha_bad_grid_exit_1(workdir, capsys):
-    rc = main(["alpha", "--model", str(workdir["model"]), "--hints",
-               str(workdir["hints"]), "--attribute", "firstName",
-               "--grid", "0.5:9:0.5", "--quiet"])
-    assert rc == 1
+def test_alpha_bad_grid_exit_1(workdir, capsys, caplog):
+    # a tiny step must be refused before any grid is built
+    for grid in ("0.5:9:0.5", "1:inf:0.1", "1:5:nan", "1:5:1e-300", "1:2:1e-5"):
+        caplog.clear()
+        rc = main(["alpha", "--model", str(workdir["model"]), "--hints",
+                   str(workdir["hints"]), "--attribute", "firstName",
+                   "--grid", grid, "--quiet"])
+        assert rc == 1, grid
+        assert "grid" in caplog.text, grid
     capsys.readouterr()
 
 

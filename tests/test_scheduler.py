@@ -4,66 +4,86 @@ from itertools import islice
 import pytest
 
 import synth
-from omen import Corpus, guess_stream, next_step, schedule_init, train
-from omen.scheduler import Guess, ScheduleEntry, _min_total_level, _sort_entries
+from omen import Corpus, guess_stream, train
+from omen import scheduler
+from omen.enumerator import count_guesses, enum_pwd, lowest_level
+from omen.scheduler import Guess
 
 
 def small_model(seed=42, sigma=4, L=5):
     return synth.random_model(seed, sigma=sigma, L=L)
 
 
-def test_schedule_init_covers_level_zero():
-    model = small_model()
-    state = schedule_init(model, lengths=(3, 4, 5))
-    assert sorted(e.length for e in state.entries) == [3, 4, 5]
-    assert all(e.level == 0 for e in state.entries)
-    assert state.cracked == 0
-    from omen.enumerator import count_guesses
+@pytest.fixture()
+def cells(monkeypatch):
+    """[length, level, generated] of every cell the scheduler runs, in run
+    order, empty cells included."""
+    log = []
 
+    def recording_enum_pwd(model, level, length):
+        cell = [length, level, 0]
+        log.append(cell)
+        for text in enum_pwd(model, level, length):
+            cell[2] += 1
+            yield text
+
+    monkeypatch.setattr(scheduler, "enum_pwd", recording_enum_pwd)
+    return log
+
+
+def test_level_zero_runs_first_for_every_length(cells):
+    model = small_model()
+    list(guess_stream(model, 10**6, lengths=(5, 3, 4)))
+    assert [(ell, lvl) for ell, lvl, _ in cells[:3]] == [(3, 0), (4, 0), (5, 0)]
     expected = sum(count_guesses(model, 0, ell) for ell in (3, 4, 5))
-    assert state.guesses_made == expected
+    assert sum(size for *_, size in cells[:3]) == expected
 
 
-def test_schedule_orders_by_sp_then_length():
-    entries = [
-        ScheduleEntry(0.1, 0, 5),
-        ScheduleEntry(0.5, 0, 8),
-        ScheduleEntry(0.5, 0, 4),
-        ScheduleEntry(0.0, 0, 3),
-    ]
-    _sort_entries(entries)
-    assert [(e.sp, e.length) for e in entries] == [
-        (0.5, 4), (0.5, 8), (0.1, 5), (0.0, 3)]
+def test_schedule_orders_by_sp_then_length(cells):
+    # after the level-0 phase each cell belongs to the length whose last
+    # cell had the highest sp = hits / generated, ties to the shorter length
+    alphabet = synth.make_alphabet(4)
+    words = synth.markov_words(3, alphabet, 400, min_len=3, max_len=6)
+    model = train(Corpus(words), alphabet=alphabet, L=5)
+    targets = Counter(words)
+    hit_cells = Counter()
+
+    def oracle(text):
+        if targets.pop(text, 0):
+            hit_cells[len(cells) - 1] += 1
+            return 1
+        return 0
+
+    lengths = (3, 4, 5, 6)
+    list(guess_stream(model, 10**6, feedback=oracle, lengths=lengths))
+    sp, last = {}, {}
+    ties = 0
+    for i, (ell, lvl, size) in enumerate(cells):
+        if i >= len(lengths):
+            live = [x for x in lengths if last[x] > lowest_level(model, x)]
+            assert ell == min(live, key=lambda x: (-sp[x], x)), i
+            ties += [sp[x] for x in live].count(sp[ell]) > 1
+        assert lvl == last.get(ell, 1) - 1
+        sp[ell] = hit_cells[i] / size if size else 0.0
+        last[ell] = lvl
+    assert all(last[x] == lowest_level(model, x) for x in lengths)
+    # the oracle must actually steer: some cells with hits, some ties, and
+    # lengths interleaved beyond the level-0 phase
+    assert len(hit_cells) > len(lengths)
+    assert ties > 0
+    after = [ell for ell, *_ in cells[len(lengths):]]
+    assert sum(a != b for a, b in zip(after, after[1:])) > len(lengths)
 
 
-def test_next_step_descends_and_reinserts():
-    model = small_model()
-    state = schedule_init(model, lengths=(3,))
-    before = state.guesses_made
-    next_step(state, model)
-    assert len(state.entries) == 1
-    assert state.entries[0].level == -1
-    assert state.guesses_made >= before
-
-
-def test_next_step_drops_exhausted_lengths():
+def test_exhausted_lengths_are_dropped(cells):
+    # with no feedback every sp is 0: each length runs once per level down
+    # to its lowest, shorter length first, and is then gone
     model = small_model(L=3)
-    state = schedule_init(model, lengths=(3,))
-    floor = _min_total_level(model, 3)
-    steps = 0
-    while state.entries:
-        next_step(state, model)
-        steps += 1
-        assert steps < 50
-    assert steps == -floor + 1  # every level below 0, plus the drop step
-
-
-def test_next_step_on_empty_schedule_raises():
-    model = small_model()
-    state = schedule_init(model, lengths=(3,))
-    state.entries.clear()
-    with pytest.raises(ValueError):
-        next_step(state, model)
+    stream = list(guess_stream(model, 10**6, lengths=(3, 4)))
+    expected = [(3, 0), (4, 0)] + [(ell, lvl) for ell in (3, 4)
+                                   for lvl in range(-1, lowest_level(model, ell) - 1, -1)]
+    assert [(ell, lvl) for ell, lvl, _ in cells] == expected
+    assert sum(size for *_, size in cells) == len(stream)
 
 
 def test_guess_stream_rejects_bad_arguments():
@@ -107,22 +127,17 @@ def test_per_length_levels_descend_without_repeats():
         assert len(set(seq)) == len(seq)
 
 
-def test_levels_within_length_have_no_gaps():
+def test_levels_within_length_have_no_gaps(cells):
     # levels execute as 0, -1, -2, ... even when batches are empty
     model = small_model(sigma=3, L=6)
+    list(guess_stream(model, 10**6, lengths=(3, 4)))
+    assert any(size == 0 for *_, size in cells)
     executed = defaultdict(list)
-    state = schedule_init(model, lengths=(3, 4))
-    for e in state.entries:
-        executed[e.length].append(e.level)
-    while state.entries:
-        lengths_before = {e.length: e.level for e in state.entries}
-        next_step(state, model)
-        after = {e.length: e.level for e in state.entries}
-        for ell, lvl in after.items():
-            if lengths_before.get(ell) != lvl:
-                executed[ell].append(lvl)
+    for ell, lvl, size in cells:
+        assert size == count_guesses(model, lvl, ell)
+        executed[ell].append(lvl)
     for ell, levels in executed.items():
-        assert levels == list(range(0, -len(levels), -1))
+        assert levels == list(range(0, lowest_level(model, ell) - 1, -1))
 
 
 @pytest.mark.parametrize("take", ["next", "islice", "partial"])
@@ -167,49 +182,3 @@ def test_null_feedback_is_deterministic():
     a = [g.text for g in guess_stream(model, 5000, lengths=(3, 4, 5))]
     b = [g.text for g in guess_stream(model, 5000, lengths=(3, 4, 5))]
     assert a == b
-
-
-def test_stream_interleaving_matches_manual_schedule():
-    # the generator must replay exactly what schedule_init/next_step produce
-    # when both see the same feedback
-    model = small_model(sigma=3, L=5)
-
-    def run_manual():
-        hits = Counter(["aaa", "abcab"])  # arbitrary fixed targets
-
-        def fb(text):
-            return 1 if hits.pop(text, 0) else 0
-
-        order = []
-        state = schedule_init(model, lengths=(3, 4), feedback=fb)
-        levels = {e.length: e.level for e in state.entries}
-        order.extend((0, ell) for ell in sorted(levels))
-        while state.entries:
-            head = state.entries[0]
-            next_step(state, model, feedback=fb)
-            order.append((head.level - 1, head.length))
-        return order
-
-    def run_stream():
-        hits = Counter(["aaa", "abcab"])
-
-        def fb(text):
-            return 1 if hits.pop(text, 0) else 0
-
-        order = []
-        for g in guess_stream(model, 10**6, feedback=fb, lengths=(3, 4)):
-            if not order or order[-1] != (g.level, g.length):
-                order.append((g.level, g.length))
-        return order
-
-    manual = [(lvl, ell) for lvl, ell in run_manual()
-              if lvl >= _min_total_level(model, ell)]
-    # manual order lists every executed batch; stream shows non-empty ones
-    stream = run_stream()
-    it = iter(manual)
-    for batch in stream:
-        for cand in it:
-            if cand == batch:
-                break
-        else:
-            pytest.fail(f"stream batch {batch} missing from manual order")
