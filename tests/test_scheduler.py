@@ -75,6 +75,16 @@ def test_schedule_orders_by_sp_then_length(cells):
     assert sum(a != b for a, b in zip(after, after[1:])) > len(lengths)
 
 
+def test_next_step_descends_and_reinserts(cells):
+    # after its level-0 cell a single length comes back one level lower,
+    # and keeps coming back until its lowest level has run
+    model = small_model()
+    stream = list(guess_stream(model, 10**6, lengths=(3,)))
+    assert [(ell, lvl) for ell, lvl, _ in cells[:2]] == [(3, 0), (3, -1)]
+    assert [lvl for _, lvl, _ in cells] == list(range(0, lowest_level(model, 3) - 1, -1))
+    assert len(stream) >= cells[0][2]
+
+
 def test_exhausted_lengths_are_dropped(cells):
     # with no feedback every sp is 0: each length runs once per level down
     # to its lowest, shorter length first, and is then gone
@@ -182,3 +192,41 @@ def test_null_feedback_is_deterministic():
     a = [g.text for g in guess_stream(model, 5000, lengths=(3, 4, 5))]
     b = [g.text for g in guess_stream(model, 5000, lengths=(3, 4, 5))]
     assert a == b
+
+
+def test_stream_interleaving_matches_manual_schedule():
+    # the generator must replay exactly what a direct transcription of the
+    # policy produces when both see the same feedback
+    model = small_model()
+    lengths = (3, 4, 5)
+    probe = [g.text for g in guess_stream(model, 10**6, lengths=lengths)]
+    # targets in two lengths at different rates; the shorter length has the
+    # higher rate but fewer hits per cell, so sp as a rate is what decides
+    wanted = [t for t in probe if len(t) == 4][::2] + [t for t in probe if len(t) == 5][::3]
+
+    def make_feedback():
+        hits = Counter(wanted)
+        return lambda text: 1 if hits.pop(text, 0) else 0
+
+    def run_manual(fb):
+        out, last, sp = [], {ell: 1 for ell in lengths}, {ell: float("inf") for ell in lengths}
+        live = list(lengths)
+        while live:
+            ell = min(live, key=lambda x: (-sp[x], x))
+            level = last[ell] - 1
+            generated = hits = 0
+            for text in enum_pwd(model, level, ell):
+                generated += 1
+                hits += fb(text)
+                out.append(Guess(text, level, ell))
+            last[ell] = level
+            sp[ell] = hits / generated if generated else 0.0
+            if level == lowest_level(model, ell):
+                live.remove(ell)
+        return out
+
+    manual = run_manual(make_feedback())
+    stream = list(guess_stream(model, 10**6, feedback=make_feedback(), lengths=lengths))
+    assert stream == manual
+    # the feedback must reorder cells relative to the no-feedback run
+    assert [g.text for g in stream] != probe
