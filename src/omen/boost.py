@@ -1,12 +1,16 @@
 """Per-target boosting: raise hint-gram probabilities (and levels) by alpha.
 
 Two domains, used at different times. Estimation works in the probability
-domain: boosted_probability applies the closed form p_old * alpha^s * (1-alpha*p_hat)^t
-so objective_S can scan an alpha grid without touching the model. Guessing
-works in the level domain: plus_stream adds round(ln alpha) to hint-gram
-levels (clamped to 0) and runs the ordinary scheduler, since at attack time
-the password, and with it the S/T split, is unknown. A boosted model is an
-ordinary NgramModel whose conditional tables differ from the base's.
+domain, on the closed form p_old * alpha^s * prod(1 - alpha*p_hat) over the
+password's gram occurrences. Its alpha-free terms (p_old and, in gram order,
+an S mark or the context's p_hat for each S or T occurrence) are built once
+per record; one sweep over a grid then prices the record at every alpha,
+so objective_S and estimate_alpha never touch the model per alpha.
+Guessing works in the level domain: plus_stream adds round(ln alpha) to
+hint-gram levels (clamped to 0) and runs the ordinary scheduler, since at
+attack time the password, and with it the S/T split, is unknown. A boosted
+model is an ordinary NgramModel whose conditional tables differ from the
+base's.
 """
 
 from __future__ import annotations
@@ -30,6 +34,11 @@ DEFAULT_GUESS_EXPONENT = -1.5
 # attribute never boosted: usernames duplicate its useful part
 EXCLUDED_ATTRIBUTES = frozenset({"email"})
 _FACTOR_FLOOR = 1e-12
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= 1.0):
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
 
 
 def boost_level_for(alpha: float, L: int) -> int:
@@ -181,8 +190,7 @@ def boost_conditionals(model, hint_grams, alpha: float, exact_renorm: bool = Fal
     rise by round(ln alpha), clamped to 0. Untouched rows keep the base
     model's values.
     """
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    _check_alpha(alpha)
     hint_grams = list(hint_grams)
     bonus = boost_level_for(alpha, model.L)
     cond_prob = model.cond_prob.copy()
@@ -206,46 +214,81 @@ def boost_conditionals(model, hint_grams, alpha: float, exact_renorm: bool = Fal
                               _raised_levels(model, dict.fromkeys(hint_grams, bonus)))
 
 
-def boosted_probability(model, sets: BoostSets, alpha: float, pwd: str) -> float:
-    """Closed-form boosted probability of one password against the base model.
+def _record_terms(model, sets: BoostSets, pwd: str) -> tuple[float, list]:
+    """The alpha-free terms of one password's closed form.
 
-    Walks the password's gram occurrences: a gram in S contributes a factor
-    alpha, a gram in T contributes (1 - alpha*p_hat) with p_hat the boosted
-    mass of its context, anything else contributes 1. A non-positive T factor
-    is clamped to a tiny floor and logged. alpha=1 means no boost at all, so
-    the unboosted probability comes back unchanged whatever the sets hold.
+    Returns p_old and, in gram order, None for each occurrence of a gram in
+    S and (context, p_hat) for each occurrence of a gram in T, p_hat being
+    the base mass of the hint grams that share the context.
     """
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
     p_old = password_probability(model, pwd)
-    if alpha == 1.0:
-        return p_old
     n = model.n
     folded = pwd.lower()
-    hint_by_ctx = _grams_by_context(model, sets.hint_grams)
+    hint_by_ctx = None
     phat_cache: dict[str, float] = {}
-    factor = 1.0
+    terms: list = []
     for i in range(len(folded) - n + 1):
         g = folded[i : i + n]
         if g in sets.S:
-            factor *= alpha
+            terms.append(None)
         elif g in sets.T:
             ctx_str = g[: n - 1]
             p_hat = phat_cache.get(ctx_str)
             if p_hat is None:
                 p_hat = 0.0
                 if model.alphabet.accepts(ctx_str):
+                    if hint_by_ctx is None:
+                        hint_by_ctx = _grams_by_context(model, sets.hint_grams)
                     ctx = model.context_rank(ctx_str)
                     p_hat = sum(float(model.cond_prob[ctx, z])
                                 for z in hint_by_ctx.get(ctx, ()))
                 phat_cache[ctx_str] = p_hat
-            t_factor = 1.0 - alpha * p_hat
-            if t_factor < _FACTOR_FLOOR:
-                logger.warning("boost factor for context %r clamped (alpha*p_hat = %.4f)",
-                               ctx_str, alpha * p_hat)
-                t_factor = _FACTOR_FLOOR
-            factor *= t_factor
-    return p_old * factor
+            terms.append((ctx_str, p_hat))
+    return p_old, terms
+
+
+def _boosted_over_grid(p_old: float, terms: list, alphas: list[float]) -> list[float]:
+    """The boosted probability at every alpha of the grid.
+
+    Each grid point sees the same float operations, in the same order, as a
+    scalar walk: factor starts at 1 and is multiplied by alpha for S and by
+    1 - alpha*p_hat for T, a non-positive T factor being clamped to a tiny
+    floor (logged once per context). The alpha = 1 slot is p_old itself.
+    Plain float lists rather than NumPy arrays: at grid sizes of tens they
+    are as fast, and they fault in none of NumPy's code pages, which count
+    in peak RSS.
+    """
+    factor = [1.0] * len(alphas)
+    clamped: set[str] = set()
+    for term in terms:
+        if term is None:
+            factor = [f * a for f, a in zip(factor, alphas)]
+            continue
+        ctx_str, p_hat = term
+        t_factors = [1.0 - a * p_hat for a in alphas]
+        low = [a for a, t in zip(alphas, t_factors) if t < _FACTOR_FLOOR and a != 1.0]
+        if low and ctx_str not in clamped:
+            clamped.add(ctx_str)
+            logger.warning("boost factor for context %r clamped for alpha >= %g "
+                           "(alpha*p_hat up to %.4f)", ctx_str, min(low), max(low) * p_hat)
+        factor = [f * (_FACTOR_FLOOR if t < _FACTOR_FLOOR else t)
+                  for f, t in zip(factor, t_factors)]
+    return [p_old if a == 1.0 else p_old * f for a, f in zip(alphas, factor)]
+
+
+def boosted_probability(model, sets: BoostSets, alpha: float, pwd: str) -> float:
+    """Closed-form boosted probability of one password against the base model.
+
+    Walks the password's gram occurrences: a gram in S contributes a factor
+    alpha, a gram in T contributes (1 - alpha*p_hat) with p_hat the boosted
+    mass of its context, anything else contributes 1. A non-positive T factor
+    is clamped to a tiny floor and logged once per context. alpha=1 means no
+    boost at all, so the unboosted probability comes back unchanged whatever
+    the sets hold.
+    """
+    _check_alpha(alpha)
+    p_old, terms = _record_terms(model, sets, pwd)
+    return _boosted_over_grid(p_old, terms, [float(alpha)])[0]
 
 
 def fit_guess_curve(model, sample_count: int = 10_000) -> float:
@@ -271,39 +314,60 @@ def fit_guess_curve(model, sample_count: int = 10_000) -> float:
     return float(slope)
 
 
+def _objective_values(records: list[HintRecord], attribute: str, model, alphas,
+                      b: float) -> list[float]:
+    """objective_S at every alpha of a grid, from one pass over the records.
+
+    Each record's terms are built once; its boosted probability at every
+    alpha is raised to b and summed into one accumulator per alpha, in
+    record order, so memory stays O(grid) whatever the record count. A
+    record unscoreable at some alpha is skipped there and counted once in
+    the log line.
+    """
+    if not records:
+        raise ValueError("no records")
+    if attribute not in ATTRIBUTE_NAMES:
+        raise ValueError(f"unknown attribute {attribute!r}")
+    alphas = [float(a) for a in alphas]
+    for a in alphas:
+        _check_alpha(a)
+    if not (math.isfinite(b) and b < 0.0):
+        raise ValueError(f"exponent b must be finite and negative, got {b}")
+    totals = [0.0] * len(alphas)
+    scored = [0] * len(alphas)
+    skipped = 0
+    for rec in records:
+        values = rec.attributes.get(attribute) or []
+        try:
+            sets = derive_sets_multi(rec.password, values, model.n)
+            p_old, terms = _record_terms(model, sets, rec.password)
+        except ScoringError:
+            skipped += 1
+            continue
+        unscoreable = False
+        for i, p in enumerate(_boosted_over_grid(p_old, terms, alphas)):
+            if p <= 0.0:
+                unscoreable = True
+                continue
+            totals[i] += p**b
+            scored[i] += 1
+        skipped += unscoreable
+    if skipped:
+        logger.info("objective skipped %d unscoreable record(s)", skipped)
+    if not all(scored):
+        raise ScoringError("no scoreable records")
+    return [t / n for t, n in zip(totals, scored)]
+
+
 def objective_S(records: list[HintRecord], attribute: str, alpha: float, model,
                 b: float = DEFAULT_GUESS_EXPONENT) -> float:
     """Mean of boosted_probability**b over the records; smaller is better.
 
     Each record's S/T sets come from its own attribute values (records
     without the attribute contribute their baseline). Unscoreable passwords
-    are skipped and counted.
+    are skipped and counted. b must be finite and negative.
     """
-    if not records:
-        raise ValueError("no records")
-    if attribute not in ATTRIBUTE_NAMES:
-        raise ValueError(f"unknown attribute {attribute!r}")
-    total = 0.0
-    scored = 0
-    skipped = 0
-    for rec in records:
-        values = rec.attributes.get(attribute) or []
-        try:
-            sets = derive_sets_multi(rec.password, values, model.n)
-            p = boosted_probability(model, sets, alpha, rec.password)
-        except ScoringError:
-            skipped += 1
-            continue
-        if p <= 0.0:
-            skipped += 1
-            continue
-        total += p**b
-        scored += 1
-    if skipped:
-        logger.info("objective skipped %d unscoreable record(s)", skipped)
-    if not scored:
-        raise ScoringError("no scoreable records")
-    return total / scored
+    return _objective_values(records, attribute, model, [alpha], b)[0]
 
 
 def default_alpha_grid(lo: float = 1.0, hi: float = ALPHA_CAP, step: float = 0.1) -> list[float]:
@@ -317,15 +381,20 @@ def estimate_alpha(records: list[HintRecord], attribute: str, model, grid=None,
     """Grid-search the multiplier that minimizes objective_S.
 
     Returns (alpha_star, boost_level); ties pick the smaller alpha. The grid
-    must live in [1, cap] and contain 1 so the unboosted baseline is always a
-    candidate.
+    must be finite, live in [1, cap] and contain 1 so the unboosted baseline
+    is always a candidate. The records are read once: each one's terms are
+    built once and then priced at every grid point together, so the cost is
+    one pass over the records whatever the grid size.
     """
-    grid = sorted(set(default_alpha_grid() if grid is None else (float(a) for a in grid)))
+    grid = [float(a) for a in (default_alpha_grid() if grid is None else grid)]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("alpha grid entries must be finite")
+    grid = sorted(set(grid))
     if not grid or grid[0] < 1.0 or grid[-1] > ALPHA_CAP:
         raise ValueError(f"alpha grid must lie within [1, {ALPHA_CAP}]")
     if not any(abs(a - 1.0) < 1e-12 for a in grid):
         raise ValueError("alpha grid must include 1")
-    scores = [objective_S(records, attribute, a, model, b) for a in grid]
+    scores = _objective_values(records, attribute, model, grid, b)
     best = min(range(len(grid)), key=lambda i: (scores[i], grid[i]))
     alpha_star = grid[best]
     return alpha_star, boost_level_for(alpha_star, model.L)

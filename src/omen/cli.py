@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attribute", required=True, choices=list(ATTRIBUTE_NAMES))
     p.add_argument("--grid", default=f"1.0:{ALPHA_CAP}:0.1", help="lo:hi:step, within [1, 5]")
     p.add_argument("--exponent", type=float, default=DEFAULT_GUESS_EXPONENT,
-                   help="guess-curve exponent b")
+                   help="guess-curve exponent b (finite and negative)")
     p.set_defaults(func=_cmd_alpha)
 
     p = sub.add_parser("plus", parents=[common], help="boosted guess stream for one hint record")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -31,6 +32,7 @@ from omen.boost import (
     ALPHA_CAP,
     EXCLUDED_ATTRIBUTES,
     _grams_by_context,
+    _objective_values,
     boost_level_for,
     default_alpha_grid,
 )
@@ -382,6 +384,163 @@ def test_estimate_alpha_ties_pick_smallest():
                                    grid=[1.0, 2.0, 4.0])
     assert alpha == 1.0 and blevel == 0
 
+
+def clamp_fixture(seed=5):
+    """Records whose hint holds the likeliest other character after one of
+    the password's contexts, so alpha*p_hat passes 1 inside the grid."""
+    model = synth.random_model(seed, sigma=4)
+    chars = model.alphabet.chars
+    g = np.random.default_rng(seed)
+    records = []
+    for i in range(60):
+        pwd = synth.random_string(g, model.alphabet, 5, 8)
+        j = int(g.integers(0, len(pwd) - 2))
+        ctx, last = pwd[j : j + 2], pwd[j + 2]
+        row = model.cond_prob[model.context_rank(ctx)]
+        near = max((z for z in range(len(chars)) if chars[z] != last), key=lambda z: row[z])
+        values = [ctx + chars[near]] + ([pwd[:4]] if i % 3 == 0 else [])
+        records.append(HintRecord(pwd, {"lastName": values}))
+    return model, records
+
+
+def mixed_fixture():
+    """embed_fixture's records interleaved with unscoreable passwords and
+    with records that lack the attribute."""
+    model, records = embed_fixture()
+    mixed = []
+    for i, rec in enumerate(records[:60]):
+        mixed.append(rec)
+        if i % 4 == 0:
+            mixed.append(HintRecord("a#" + rec.password, rec.attributes))
+        elif i % 4 == 1:
+            mixed.append(HintRecord(rec.password, {}))
+        elif i % 4 == 2:
+            mixed.append(HintRecord(rec.password.upper(), rec.attributes))
+        else:
+            mixed.append(HintRecord(rec.password, {"lastName": ["abcd"]}))
+    mixed.append(HintRecord("a", {"firstName": ["abc"]}))
+    return model, mixed
+
+
+# sha256 of the float.hex of every default-grid objective value, recorded
+# when objective_S still rebuilt every record's terms for each alpha
+OBJECTIVE_PINS = {
+    "embed": (embed_fixture, "firstName",
+              "3886f1254fe5df559717af67d03402480a2514e45a172b3d15dc7099892dce8b"),
+    "clamp": (clamp_fixture, "lastName",
+              "e79182dbedd33088bc8791544a3ee506fe6c9a12b5982717401b810bc685a8d8"),
+    "mixed": (mixed_fixture, "firstName",
+              "4d769ec12545dd198adb9e8de2d92778dbb18b71b560d18455f3684305faacd2"),
+}
+
+
+def objective_digest(values) -> str:
+    return hashlib.sha256("\n".join(float.hex(v) for v in values).encode()).hexdigest()
+
+
+def brute_force_objective(records, attribute, model, alpha, b=-1.5):
+    """objective_S written out as a per-alpha loop over boosted_probability."""
+    total, scored = 0.0, 0
+    for rec in records:
+        try:
+            sets = derive_sets_multi(rec.password, rec.attributes.get(attribute) or [], model.n)
+            p = boosted_probability(model, sets, alpha, rec.password)
+        except ScoringError:
+            continue
+        if p > 0.0:
+            total += p**b
+            scored += 1
+    return total / scored
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTIVE_PINS))
+def test_objective_pinned_on_default_grid(name):
+    make, attribute, pin = OBJECTIVE_PINS[name]
+    model, records = make()
+    grid = default_alpha_grid()
+    values = [objective_S(records, attribute, a, model) for a in grid]
+    assert objective_digest(values) == pin
+    # the one-pass grid evaluation behind estimate_alpha gives the same bits
+    assert objective_digest(_objective_values(records, attribute, model, grid, -1.5)) == pin
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTIVE_PINS))
+def test_estimate_alpha_is_brute_force_argmin(name):
+    make, attribute, pin = OBJECTIVE_PINS[name]
+    model, records = make()
+    grid = default_alpha_grid()
+    values = [brute_force_objective(records, attribute, model, a) for a in grid]
+    assert objective_digest(values) == pin
+    best = min(range(len(grid)), key=lambda i: (values[i], grid[i]))
+    assert estimate_alpha(records, attribute, model) == (
+        grid[best], boost_level_for(grid[best], model.L))
+
+
+
+def test_estimate_alpha_rejects_non_finite_grid_and_exponent():
+    model, records = embed_fixture()
+    for grid in ([1.0, math.nan, 2.0], [1.0, math.inf], [math.nan]):
+        with pytest.raises(ValueError, match="finite"):
+            estimate_alpha(records, "firstName", model, grid=grid)
+    for b in (math.nan, math.inf, -math.inf, 1.5, 0.0):
+        with pytest.raises(ValueError, match="exponent b must be finite and negative"):
+            estimate_alpha(records, "firstName", model, b=b)
+        with pytest.raises(ValueError, match="exponent b must be finite and negative"):
+            objective_S(records, "firstName", 1.0, model, b=b)
+    for alpha in (math.nan, math.inf, 0.5):
+        with pytest.raises(ValueError, match="alpha must be finite and >= 1"):
+            objective_S(records, "firstName", alpha, model)
+
+
+def test_boost_rejects_non_finite_alpha():
+    model = two_letter_model()
+    sets = derive_sets("aab", "aab")
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha must be finite and >= 1"):
+            boost_conditionals(model, {"aab"}, alpha)
+        with pytest.raises(ValueError, match="alpha must be finite and >= 1"):
+            boosted_probability(model, sets, alpha, "aab")
+
+
+def test_clamp_logged_once_per_context_of_a_password(caplog):
+    model = two_letter_model()
+    sets = derive_sets("aaaaa", "aab")  # T gram aaa occurs three times
+    assert sets.T == {"aaa"} and not sets.S
+    with caplog.at_level("WARNING", logger="omen.boost"):
+        p = boosted_probability(model, sets, 5.0, "aaaaa")
+    assert p == password_probability(model, "aaaaa") * (1e-12 * 1e-12 * 1e-12)
+    assert ["clamped" in r.getMessage() for r in caplog.records] == [True]
+
+
+def test_estimate_alpha_logs_each_clamp_and_skip_once(caplog):
+    model, records = clamp_fixture()
+    grid = default_alpha_grid()
+    expected = 0
+    for rec in records:
+        sets = derive_sets_multi(rec.password, rec.attributes["lastName"], model.n)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="omen.boost"):
+            for a in grid:
+                boosted_probability(model, sets, a, rec.password)
+        expected += len({r.args[0] for r in caplog.records})
+    assert expected > 0
+    caplog.clear()
+    with caplog.at_level("INFO", logger="omen.boost"):
+        estimate_alpha(records, "lastName", model)
+    assert sum("clamped" in r.getMessage() for r in caplog.records) == expected
+
+    model, records = mixed_fixture()
+    unscoreable = 0
+    for rec in records:
+        try:
+            password_probability(model, rec.password)
+        except ScoringError:
+            unscoreable += 1
+    caplog.clear()
+    with caplog.at_level("INFO", logger="omen.boost"):
+        estimate_alpha(records, "firstName", model)
+    skips = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+    assert skips == [f"objective skipped {unscoreable} unscoreable record(s)"]
 
 # --- boost profiles ---------------------------------------------------------
 

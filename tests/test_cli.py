@@ -257,6 +257,17 @@ def test_alpha_bad_grid_exit_1(workdir, capsys, caplog):
     capsys.readouterr()
 
 
+def test_alpha_bad_exponent_exit_1(workdir, capsys, caplog):
+    for exponent in ("nan", "inf", "1.5", "0"):
+        caplog.clear()
+        rc = main(["alpha", "--model", str(workdir["model"]), "--hints",
+                   str(workdir["hints"]), "--attribute", "firstName",
+                   "--exponent", exponent, "--quiet"])
+        assert rc == 1, exponent
+        assert "exponent" in caplog.text, exponent
+        assert capsys.readouterr().out == "", exponent
+
+
 def test_plus_emits_budgeted_guesses(workdir, capsys):
     rc = main(["plus", "--model", str(workdir["model"]), "--hints",
                str(workdir["hints"]), "--profile", str(workdir["profile"]),
