@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 import struct
+from itertools import islice
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .corpus import Alphabet
 from .errors import ModelFormatError, ScoringError, TrainingError
@@ -33,6 +33,9 @@ _FORMAT_VERSION = 1
 
 # dense tables: keep C*sigma from exploding for large n
 _MAX_TABLE_CELLS = 200_000_000
+
+# passwords per gram-counting chunk; training's temporaries scale with this
+_CHUNK = 1 << 12
 
 
 def calibrate(p_max: float, L: int) -> tuple[float, float]:
@@ -143,6 +146,10 @@ def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
     table. Entries shorter than n-1 characters contribute nothing; if every
     entry is that short there is nothing to anchor a guess on and training
     fails.
+
+    The corpus is iterated once, in fixed-size chunks of passwords whose
+    grams are added to exact integer counts. Beyond what the caller holds
+    and the tables themselves, memory does not grow with the corpus.
     """
     if alphabet is None:
         alphabet = Alphabet.default()
@@ -150,41 +157,32 @@ def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
         raise ValueError(f"order must be >= 2, got {n}")
     if not 2 <= L <= 128:
         raise ValueError(f"level count must be in [2, 128], got {L}")
-    if not delta > 0:
-        raise ValueError(f"smoothing delta must be > 0, got {delta}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"smoothing delta must be finite and > 0, got {delta}")
 
-    passwords = list(corpus)
-    if not passwords:
-        raise TrainingError("empty corpus")
     sigma = alphabet.size
     n1 = n - 1
     C = sigma**n1
     if C * sigma > _MAX_TABLE_CELLS:
         raise ValueError(f"dense tables would need {C * sigma} cells; lower n or shrink the alphabet")
 
-    usable = [p for p in passwords if len(p) >= n1]
-    if not usable:
+    init_counts = np.zeros(C, dtype=np.int64)
+    cond_counts = np.zeros(C * sigma, dtype=np.int64)
+    passwords = iter(corpus)
+    empty = True
+    while chunk := list(islice(passwords, _CHUNK)):
+        empty = False
+        usable = [p for p in chunk if len(p) >= n1]
+        if usable:
+            _count_chunk(alphabet, n, usable, init_counts, cond_counts)
+    if empty:
+        raise TrainingError("empty corpus")
+    if not init_counts.any():
         raise TrainingError(f"no entry has the {n1} characters needed for an initial gram")
-    flat, lengths = _encode_concat(alphabet, usable)
-    starts = np.zeros(len(usable) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=starts[1:])
 
-    powers1 = sigma ** np.arange(n1 - 1, -1, -1, dtype=np.int64)
-    first = flat[starts[:-1, None] + np.arange(n1, dtype=np.int64)[None, :]]
-    init_counts = np.bincount(first @ powers1, minlength=C).astype(np.float64)
-
-    cond_counts = np.zeros(C * sigma, dtype=np.float64)
-    if flat.size >= n:
-        windows = sliding_window_view(flat, n)
-        pid = np.repeat(np.arange(len(usable), dtype=np.int64), lengths)
-        inside = pid[: windows.shape[0]] == pid[n - 1:]
-        if inside.any():
-            powers = sigma ** np.arange(n - 1, -1, -1, dtype=np.int64)
-            ranks = windows[inside] @ powers
-            cond_counts = np.bincount(ranks, minlength=C * sigma).astype(np.float64)
-
+    init_counts = init_counts.astype(np.float64)
     init_prob = (init_counts + delta) / (init_counts.sum() + delta * C)
-    cond_counts = cond_counts.reshape(C, sigma)
+    cond_counts = cond_counts.astype(np.float64).reshape(C, sigma)
     cond_prob = (cond_counts + delta) / (cond_counts.sum(axis=1, keepdims=True) + delta * sigma)
 
     min_level = -(L - 1)
@@ -193,6 +191,28 @@ def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
     init_level = _discretize_array(init_prob, c1i, c2, min_level)
     cond_level = _discretize_array(cond_prob, c1c, c2, min_level)
     return NgramModel(alphabet, n, L, init_prob, cond_prob, init_level, cond_level, delta=delta)
+
+
+def _count_chunk(alphabet: Alphabet, n: int, passwords: list[str],
+                 init_counts: np.ndarray, cond_counts: np.ndarray) -> None:
+    """Add the grams of passwords (each at least n-1 long) to the counts in place."""
+    sigma = alphabet.size
+    n1 = n - 1
+    flat, lengths = _encode_concat(alphabet, passwords)
+    # ctx[i]: rank of the (n-1)-gram starting at flat[i]
+    ctx = flat[: flat.size - n1 + 1].copy()
+    for j in range(1, n1):
+        ctx *= sigma
+        ctx += flat[j : flat.size - n1 + 1 + j]
+    starts = np.zeros(len(passwords), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    # add.at costs O(chunk); a bincount would build a whole table per chunk
+    np.add.at(init_counts, ctx[starts], 1)
+
+    # the n-gram at i is ctx[i] followed by flat[i + n-1]; keep those inside one password
+    pid = np.repeat(np.arange(len(passwords), dtype=np.int64), lengths)
+    inside = pid[:-n1] == pid[n1:]
+    np.add.at(cond_counts, ctx[:-1][inside] * sigma + flat[n1:][inside], 1)
 
 
 def _chain(model, pwd: str) -> tuple[int, list[tuple[int, int]]]:

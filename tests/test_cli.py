@@ -74,6 +74,18 @@ def test_train_bad_parameters_exit_1(workdir):
     assert rc == 1
 
 
+def test_train_non_finite_delta_exit_1(workdir, capsys, caplog):
+    # refused before any division: pytest turns a NumPy RuntimeWarning into an error
+    for delta in ("inf", "nan"):
+        caplog.clear()
+        rc = main(["train", "--input", str(workdir["corpus"]),
+                   "--out", str(workdir["root"] / "m4"), "--delta", delta, "--quiet"])
+        assert rc == 1, delta
+        assert "smoothing delta must be finite" in caplog.text, delta
+        assert not (workdir["root"] / "m4").exists(), delta
+    capsys.readouterr()
+
+
 def test_train_is_deterministic(workdir):
     out1 = workdir["root"] / "det1.omen"
     out2 = workdir["root"] / "det2.omen"

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omen import (
@@ -42,6 +42,26 @@ def test_alphabet_index_and_accepts():
         a.index("z")
     assert a.accepts("abccba")
     assert not a.accepts("abd")
+
+
+_ALPHABETS = [Alphabet.default(), Alphabet("ab"), Alphabet("xé\U0001d11e")]
+
+
+@st.composite
+def alphabet_and_text(draw):
+    alphabet = draw(st.sampled_from(_ALPHABETS))
+    # mostly alphabet characters, with foreign ones (BMP and beyond) mixed in
+    chars = st.one_of(st.sampled_from(alphabet.chars), st.sampled_from("zé \x00\U0001f600"),
+                      st.characters())
+    return alphabet, draw(st.text(chars, max_size=12))
+
+
+@given(alphabet_and_text())
+@example((_ALPHABETS[0], ""))
+@settings(max_examples=300, deadline=None)
+def test_accepts_means_every_character_is_in_the_alphabet(case):
+    alphabet, text = case
+    assert alphabet.accepts(text) == all(ch in alphabet for ch in text)
 
 
 def test_alphabet_file_round_trip(tmp_path):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import omen.model
 import synth
 from omen import (
     Alphabet,
@@ -100,6 +102,51 @@ def test_train_rejects_hopeless_corpora():
         train(Corpus(["a", "b"]), alphabet=Alphabet("ab"), n=3)
 
 
+def _model_bytes(tmp_path, corpus, **kwargs) -> bytes:
+    path = tmp_path / "model.omen"
+    save_model(train(corpus, **kwargs), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_chunk_boundaries_do_not_change_the_model(tmp_path, monkeypatch, n):
+    alphabet = synth.make_alphabet(6)
+    words = synth.markov_words(7 + n, alphabet, 120, min_len=1, max_len=9)
+    short = [w[: n - 2] for w in words[:20]]  # n-2 characters: no initial gram
+    # 13 short entries in a row fill at least one whole chunk of 1, 3 or 7
+    corpus = Corpus(words[:40] + short[:13] + words[40:] + short[13:] + [words[0][: n - 1]])
+    kwargs = dict(alphabet=alphabet, n=n, L=10, delta=0.01)
+    monkeypatch.setattr(omen.model, "_CHUNK", len(corpus))
+    whole = _model_bytes(tmp_path, corpus, **kwargs)
+    for chunk in (1, 3, 7):
+        monkeypatch.setattr(omen.model, "_CHUNK", chunk)
+        assert _model_bytes(tmp_path, corpus, **kwargs) == whole, chunk
+        with pytest.raises(TrainingError, match="empty"):
+            train(Corpus([]), **kwargs)
+        with pytest.raises(TrainingError, match="initial gram"):
+            train(Corpus(short), **kwargs)
+
+
+def _train_peak_bytes(corpus, alphabet) -> int:
+    """Peak traced allocation while training, above what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        train(corpus, alphabet=alphabet)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_memory_does_not_grow_with_the_corpus():
+    alphabet = Alphabet.default()
+    words = synth.markov_words(17, alphabet, 80_000)
+    small = _train_peak_bytes(Corpus(words[:20_000]), alphabet)
+    large = _train_peak_bytes(Corpus(words), alphabet)
+    assert large <= small + 512 * 1024, (small, large)
+
+
 def test_train_rejects_bad_parameters():
     corpus = Corpus(["abc"])
     with pytest.raises(ValueError):
@@ -110,6 +157,9 @@ def test_train_rejects_bad_parameters():
         train(corpus, delta=0.0)
     with pytest.raises(ValueError):
         train(corpus, alphabet=Alphabet("ab"))  # 'c' outside alphabet
+    for delta in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            train(corpus, delta=delta)
 
 
 @pytest.mark.parametrize("n,L,delta", [(2, 5, 0.1), (3, 10, 0.01), (4, 8, 1.0)])
