@@ -49,16 +49,15 @@ def boost_level_for(alpha: float, L: int) -> int:
 class BoostProfile:
     """Per-attribute multipliers with their level-domain equivalents."""
 
-    def __init__(self, L: int = 10, alpha_cap: float = ALPHA_CAP):
+    def __init__(self, L: int = 10):
         self.L = L
-        self.alpha_cap = alpha_cap
         self._entries: dict[str, tuple[float, int]] = {}
 
     def set(self, attribute: str, alpha: float) -> None:
         if attribute not in ATTRIBUTE_NAMES:
             raise ValueError(f"unknown attribute {attribute!r}")
-        if not 1.0 <= alpha <= self.alpha_cap:
-            raise ValueError(f"alpha must be in [1, {self.alpha_cap}], got {alpha}")
+        if not 1.0 <= alpha <= ALPHA_CAP:
+            raise ValueError(f"alpha must be in [1, {ALPHA_CAP}], got {alpha}")
         self._entries[attribute] = (alpha, boost_level_for(alpha, self.L))
 
     def alpha(self, attribute: str) -> float:
@@ -77,8 +76,8 @@ class BoostProfile:
                 fh.write(f"{attr},{alpha!r},{blevel}\n")
 
     @classmethod
-    def load(cls, path, L: int = 10, alpha_cap: float = ALPHA_CAP) -> "BoostProfile":
-        profile = cls(L, alpha_cap)
+    def load(cls, path, L: int = 10) -> "BoostProfile":
+        profile = cls(L)
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -179,13 +178,12 @@ def _with_conditionals(model, cond_prob: np.ndarray, cond_level: np.ndarray) -> 
                       model.init_level, cond_level, delta=model.delta, validate=False)
 
 
-def boost_conditionals(model, hint_grams, alpha: float, exact_renorm: bool = False) -> NgramModel:
+def boost_conditionals(model, hint_grams, alpha: float) -> NgramModel:
     """Boosted model: hint grams get alpha times their probability.
 
     Other characters in a touched context are scaled by (1 - alpha*p_hat)
     where p_hat is the context's total boosted mass, leaving the row summing
-    to approximately 1; exact_renorm divides by (1 - p_hat) instead so it
-    sums to exactly 1. If alpha*p_hat reaches 1, boosted grams share the
+    to approximately 1. If alpha*p_hat reaches 1, boosted grams share the
     whole row proportionally and the rest drop to 0. Levels of boosted grams
     rise by round(ln alpha), clamped to 0. Untouched rows keep the base
     model's values.
@@ -205,10 +203,7 @@ def boost_conditionals(model, hint_grams, alpha: float, exact_renorm: bool = Fal
             if p_hat > 0:
                 prob[chars] = base_prob[chars] / p_hat
         else:
-            if exact_renorm and p_hat < 1.0:
-                prob *= (1.0 - alpha * p_hat) / (1.0 - p_hat)
-            else:
-                prob *= 1.0 - alpha * p_hat
+            prob *= 1.0 - alpha * p_hat
             prob[chars] = alpha * base_prob[chars]
     return _with_conditionals(model, cond_prob,
                               _raised_levels(model, dict.fromkeys(hint_grams, bonus)))
@@ -239,7 +234,7 @@ def _record_terms(model, sets: BoostSets, pwd: str) -> tuple[float, list]:
                 if model.alphabet.accepts(ctx_str):
                     if hint_by_ctx is None:
                         hint_by_ctx = _grams_by_context(model, sets.hint_grams)
-                    ctx = model.context_rank(ctx_str)
+                    ctx = model.alphabet.rank(ctx_str)
                     p_hat = sum(float(model.cond_prob[ctx, z])
                                 for z in hint_by_ctx.get(ctx, ()))
                 phat_cache[ctx_str] = p_hat

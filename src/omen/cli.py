@@ -21,7 +21,8 @@ from .boost import (
     estimate_alpha,
     plus_stream,
 )
-from .corpus import ATTRIBUTE_NAMES, Alphabet, load_hints, load_passwords
+from .corpus import (ATTRIBUTE_NAMES, DEFAULT_MAX_LENGTH, DEFAULT_MIN_LENGTH, Alphabet,
+                     load_hints, load_passwords)
 from .errors import OmenError
 from .evaluation import TestSetOracle, crack_curve, export_curve
 from .model import (
@@ -32,7 +33,7 @@ from .model import (
     save_model,
     train,
 )
-from .scheduler import guess_stream
+from .scheduler import guess_stream, stream_lengths
 from .enumerator import enum_pwd
 from .similarity import MAX_ATTRIBUTE, attribute_stats, cdf_similarity, policy_check
 
@@ -71,19 +72,20 @@ def _parse_grid(text: str) -> list[float]:
     return default_alpha_grid(lo, hi, step)
 
 
-def _load_model_and_test_set(args):
+def _attack(args):
+    """The test set, its oracle, and the oracle-fed stream over --min-len..--max-len."""
     model = load_model(args.model)
     test = load_passwords(args.test, model.alphabet, args.min_len, args.max_len)
     logger.info("test set: %d passwords (%d rejected)", len(test), test.rejected_count)
-    return model, test
+    oracle = TestSetOracle(test.passwords, unique=args.unique)
+    lengths = stream_lengths(model, args.min_len, args.max_len)
+    return test, oracle, guess_stream(model, args.budget, oracle, lengths)
 
 
 def _curve(args):
     """Crack the test set adaptively and sample the curve at --checkpoints."""
-    model, test = _load_model_and_test_set(args)
+    test, _, stream = _attack(args)
     cps = _parse_checkpoints(args.checkpoints)
-    oracle = TestSetOracle(test.passwords, unique=args.unique)
-    stream = guess_stream(model, args.budget, oracle)
     return crack_curve(stream, test.passwords, cps, unique=args.unique)
 
 
@@ -121,11 +123,8 @@ def _cmd_crack(args) -> int:
         for cp, frac in zip(curve.checkpoints, curve.fractions):
             sys.stdout.write(f"{cp},{frac!r}\n")
         return 0
-    model, test = _load_model_and_test_set(args)
-    oracle = TestSetOracle(test.passwords, unique=args.unique)
-    made = 0
-    for _ in guess_stream(model, args.budget, oracle):
-        made += 1
+    _, oracle, stream = _attack(args)
+    made = sum(1 for _ in stream)
     sys.stdout.write("guesses,cracked,fraction\n")
     sys.stdout.write(f"{made},{oracle.cracked},{oracle.fraction!r}\n")
     return 0
@@ -203,18 +202,26 @@ def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--quiet", action="store_true", help="suppress progress output")
 
+    lengths = _Parser(add_help=False)
+    lengths.add_argument("--min-len", type=int, default=DEFAULT_MIN_LENGTH, help="shortest length")
+    lengths.add_argument("--max-len", type=int, default=DEFAULT_MAX_LENGTH, help="longest length")
+
+    attack = _Parser(add_help=False, parents=[common, lengths])
+    attack.add_argument("--model", required=True)
+    attack.add_argument("--test", required=True, help="plaintext test passwords, one per line")
+    attack.add_argument("--budget", type=int, required=True)
+    attack.add_argument("--unique", action="store_true", help="collapse duplicate test passwords")
+
     parser = _Parser(prog="omen", description="Markov-model password guessing toolkit")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("train", parents=[common], help="train a model from a password file")
+    p = sub.add_parser("train", parents=[common, lengths], help="train a model from a password file")
     p.add_argument("--input", required=True, help="newline-delimited password file")
     p.add_argument("--out", required=True, help="model file to write")
     p.add_argument("--alphabet", help="alphabet file (single line); default: built-in 72 characters")
     p.add_argument("-n", "--order", type=int, default=DEFAULT_ORDER, help="gram order")
     p.add_argument("-L", "--levels", type=int, default=DEFAULT_LEVEL_COUNT, help="level count")
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="additive smoothing count")
-    p.add_argument("--min-len", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=20)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("enum", parents=[common], help="emit all guesses at one (level, length)")
@@ -224,25 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, default=None, help="stop after this many guesses")
     p.set_defaults(func=_cmd_enum)
 
-    p = sub.add_parser("crack", parents=[common], help="adaptive cracking run against a test set")
-    p.add_argument("--model", required=True)
-    p.add_argument("--test", required=True, help="plaintext test passwords, one per line")
-    p.add_argument("--budget", type=int, required=True)
+    p = sub.add_parser("crack", parents=[attack], help="adaptive cracking run against a test set")
     p.add_argument("--checkpoints", help="csv guess counts; prints a curve instead of a summary")
-    p.add_argument("--unique", action="store_true", help="collapse duplicate test passwords")
-    p.add_argument("--min-len", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=20)
     p.set_defaults(func=_cmd_crack)
 
-    p = sub.add_parser("eval", parents=[common], help="crack and export the curve as CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--test", required=True)
-    p.add_argument("--budget", type=int, required=True)
+    p = sub.add_parser("eval", parents=[attack], help="crack and export the curve as CSV")
     p.add_argument("--checkpoints", default="1e3,1e4,1e5,1e6")
     p.add_argument("--out", required=True, help="curve CSV to write")
-    p.add_argument("--unique", action="store_true")
-    p.add_argument("--min-len", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=20)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sim", parents=[common], help="similarity statistics over hint records")

@@ -60,6 +60,10 @@ class Alphabet:
         self.accepts = frozenset(chars).issuperset
         # <U1 array used for bulk decoding of guess batches.
         self._char_array = np.array(list(chars), dtype="<U1")
+        # code point -> rank, -1 outside the alphabet; the last entry covers all above
+        codes = np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        self._rank_of = np.full(int(codes.max()) + 2, -1, dtype=np.int64)
+        self._rank_of[codes] = np.arange(self.size)
 
     @classmethod
     def default(cls) -> "Alphabet":
@@ -96,6 +100,15 @@ class Alphabet:
         for ch in text:
             r = r * self.size + self.index(ch)
         return r
+
+    def encode(self, text: str) -> np.ndarray:
+        """The int64 rank of each character; ValueError names one outside the alphabet."""
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        ranks = self._rank_of[np.minimum(codes, self._rank_of.size - 1)]
+        if ranks.size and ranks.min() < 0:
+            ch = text[int(np.argmax(ranks < 0))]
+            raise ValueError(f"character {ch!r} not in alphabet")
+        return ranks
 
     def decode_batch(self, codes: np.ndarray) -> list[str]:
         """Turn an (m, ell) array of character ranks into m strings."""

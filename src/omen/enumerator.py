@@ -20,6 +20,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .corpus import DEFAULT_MIN_LENGTH
+
 _BATCH = 1024
 
 
@@ -154,12 +156,16 @@ def _pack(vec: list[int], first: int, total: int, min_level: int) -> None:
     vec[first:] = head + [min_level] * full
 
 
+def shortest_length(model) -> int:
+    """Shortest enumerable length: room for the initial gram, never below the corpus minimum."""
+    return max(DEFAULT_MIN_LENGTH, model.n - 1)
+
+
 def lowest_level(model, ell: int) -> int:
     """The lowest level sum of a length-ell password: every gram at level
     -(L-1). Raises ValueError for a length the model cannot enumerate."""
-    floor = max(3, model.n - 1)
-    if ell < floor:
-        raise ValueError(f"length must be >= {floor}, got {ell}")
+    if ell < shortest_length(model):
+        raise ValueError(f"length must be >= {shortest_length(model)}, got {ell}")
     return -(model.L - 1) * (ell - (model.n - 2))
 
 

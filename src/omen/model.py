@@ -49,17 +49,14 @@ def calibrate(p_max: float, L: int) -> tuple[float, float]:
     return c1, c2
 
 
-def discretize(prob: float, c1: float, c2: float, min_level: int | None = None) -> int:
-    """Map a probability to an integer level in [min_level, 0].
+def discretize(prob: float, c1: float, c2: float) -> int:
+    """Map a probability to an integer level in [round(log(c2)), 0].
 
-    min_level defaults to round(log(c2)), which is -(L-1) for calibrated c2.
-    Monotone non-decreasing in prob; round() ties follow round-half-to-even,
-    same as the vectorized path.
+    round(log(c2)) is -(L-1) for calibrated c2. Monotone non-decreasing in
+    prob; round() ties follow round-half-to-even, same as the vectorized path.
     """
-    if min_level is None:
-        min_level = round(math.log(c2))
     lvl = round(math.log(c1 * prob + c2))
-    return max(min_level, min(0, lvl))
+    return max(round(math.log(c2)), min(0, lvl))
 
 
 def _discretize_array(prob: np.ndarray, c1: float, c2: float, min_level: int) -> np.ndarray:
@@ -69,18 +66,8 @@ def _discretize_array(prob: np.ndarray, c1: float, c2: float, min_level: int) ->
 
 def _encode_concat(alphabet: Alphabet, passwords) -> tuple[np.ndarray, np.ndarray]:
     """Encode a batch of strings into one flat rank array plus lengths."""
-    joined = "".join(passwords)
     lengths = np.fromiter((len(p) for p in passwords), dtype=np.int64, count=len(passwords))
-    if not joined:
-        return np.empty(0, dtype=np.int64), lengths
-    cps = np.frombuffer(joined.encode("utf-32-le"), dtype="<u4").astype(np.int64)
-    table = np.fromiter((ord(c) for c in alphabet.chars), dtype=np.int64, count=alphabet.size)
-    order = np.argsort(table)
-    sorted_cp = table[order]
-    pos = np.clip(np.searchsorted(sorted_cp, cps), 0, alphabet.size - 1)
-    if not np.array_equal(sorted_cp[pos], cps):
-        raise ValueError("corpus contains characters outside the alphabet")
-    return order[pos], lengths
+    return alphabet.encode("".join(passwords)), lengths
 
 
 class NgramModel:
@@ -129,12 +116,6 @@ class NgramModel:
                 raise ValueError("levels outside [-(L-1), 0]")
             if levels.max() != 0:
                 raise ValueError("no gram at level 0")
-
-    def context_rank(self, text: str) -> int:
-        """Rank of an (n-1)-character context string."""
-        if len(text) != self.n - 1:
-            raise ValueError(f"context must have {self.n - 1} characters")
-        return self.alphabet.rank(text)
 
 
 def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,

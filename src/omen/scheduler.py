@@ -17,9 +17,8 @@ import heapq
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple
 
-from .enumerator import enum_pwd, lowest_level
-
-DEFAULT_LENGTHS = range(3, 21)
+from .corpus import DEFAULT_MAX_LENGTH, DEFAULT_MIN_LENGTH
+from .enumerator import enum_pwd, lowest_level, shortest_length
 
 Feedback = Callable[[str], int]
 
@@ -36,15 +35,22 @@ def guess_stream(model, budget: int, feedback: Feedback | None = None,
 
     Yields (text, level, length) triples. The per-length level sequence is
     0, -1, -2, ... with no repeats; the interleaving of lengths follows the
-    measured success probabilities.
+    measured success probabilities. The default lengths are the corpus
+    length range from the model's shortest length on.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    use = sorted({int(x) for x in (DEFAULT_LENGTHS if lengths is None else lengths)})
+    use = sorted({int(x) for x in (stream_lengths(model) if lengths is None else lengths)})
     if not use:
-        raise ValueError("no lengths given")
+        raise ValueError(f"no length to guess; the model's shortest is {shortest_length(model)}")
     lowest = {ell: lowest_level(model, ell) for ell in use}
     return islice(_stream(model, feedback, lowest), int(budget))
+
+
+def stream_lengths(model, min_len: int = DEFAULT_MIN_LENGTH,
+                   max_len: int = DEFAULT_MAX_LENGTH) -> range:
+    """The lengths in [min_len, max_len] that the model can enumerate."""
+    return range(max(min_len, shortest_length(model)), max_len + 1)
 
 
 def _stream(model, feedback: Feedback | None, lowest: dict[int, int]) -> Iterator[Guess]:

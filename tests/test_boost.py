@@ -130,23 +130,13 @@ def test_boost_conditionals_by_hand():
     assert view.cond_level[0, 1] == model.cond_level[0, 1]
 
 
-def test_boost_exact_renorm_rows_sum_to_one():
+def test_boost_alpha_one_is_identity():
     model = synth.random_model(7, sigma=4)
-    grams = {"abc", "bba", "cad"}
-    view = boost_conditionals(model, grams, 1.7, exact_renorm=True)
-    for ctx in _grams_by_context(model, grams):
-        row = [view.cond_prob[ctx, z] for z in range(4)]
-        assert sum(row) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_boost_alpha_one_is_identity_both_renorms():
-    model = synth.random_model(7, sigma=4)
-    for exact in (False, True):
-        view = boost_conditionals(model, {"abc"}, 1.0, exact_renorm=exact)
-        ctx = model.context_rank("ab")
-        for z in range(4):
-            assert view.cond_prob[ctx, z] == model.cond_prob[ctx, z]
-            assert view.cond_level[ctx, z] == model.cond_level[ctx, z]
+    view = boost_conditionals(model, {"abc"}, 1.0)
+    ctx = model.alphabet.rank("ab")
+    for z in range(4):
+        assert view.cond_prob[ctx, z] == model.cond_prob[ctx, z]
+        assert view.cond_level[ctx, z] == model.cond_level[ctx, z]
 
 
 def test_boost_cap_regime_zeroes_the_rest():
@@ -164,7 +154,7 @@ model = synth.random_model(3, sigma=8, L=10)
 chars = model.alphabet.chars
 pwd = "ab" + chars[1] + "aa"
 sets = derive_sets_multi(pwd, ["ab" + c for c in chars[2:8]], model.n)
-row = boost_conditionals(model, sets.hint_grams, 1.7).cond_prob[model.context_rank("ab")]
+row = boost_conditionals(model, sets.hint_grams, 1.7).cond_prob[model.alphabet.rank("ab")]
 print(boosted_probability(model, sets, 1.7, pwd).hex(), row.tobytes().hex())
 """
 
@@ -396,7 +386,7 @@ def clamp_fixture(seed=5):
         pwd = synth.random_string(g, model.alphabet, 5, 8)
         j = int(g.integers(0, len(pwd) - 2))
         ctx, last = pwd[j : j + 2], pwd[j + 2]
-        row = model.cond_prob[model.context_rank(ctx)]
+        row = model.cond_prob[model.alphabet.rank(ctx)]
         near = max((z for z in range(len(chars)) if chars[z] != last), key=lambda z: row[z])
         values = [ctx + chars[near]] + ([pwd[:4]] if i % 3 == 0 else [])
         records.append(HintRecord(pwd, {"lastName": values}))

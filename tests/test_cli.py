@@ -203,6 +203,65 @@ def test_crack_bad_checkpoints_exit_1(workdir, capsys, caplog):
     capsys.readouterr()
 
 
+# --- password length range ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def order5(tmp_path_factory):
+    """An n=5 model over the ten digits, whose shortest enumerable length is 4."""
+    root = tmp_path_factory.mktemp("order5")
+    (root / "alphabet.txt").write_text("0123456789\n")
+    words = synth.markov_words(5, omen.Alphabet("0123456789"), 400, min_len=3, max_len=8)
+    (root / "train.txt").write_text("\n".join(words) + "\n")
+    (root / "test.txt").write_text("\n".join(words[:50]) + "\n")
+    (root / "hints.jsonl").write_text(json.dumps(
+        {"password": words[0], "attributes": {"birthday": [words[1]]}}) + "\n")
+    (root / "profile.csv").write_text("attribute,alpha,boostLevel\nbirthday,3,1\n")
+    assert main(["train", "--input", str(root / "train.txt"), "--alphabet",
+                 str(root / "alphabet.txt"), "-n", "5", "--out", str(root / "model"),
+                 "--quiet"]) == 0
+    assert any(len(w) == 3 for w in words[:50])
+    return root
+
+
+def test_streams_of_an_order5_model_start_at_length_4(order5, capsys):
+    d = order5
+    model = load_model(d / "model")
+    assert next(omen.guess_stream(model, 1)).length == 4
+    attack = ["--model", str(d / "model"), "--test", str(d / "test.txt"),
+              "--budget", "300", "--quiet"]
+    assert main(["crack", *attack]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("300,")
+    assert main(["eval", *attack, "--checkpoints", "10,300", "--out", str(d / "c.csv")]) == 0
+    assert load_curve(d / "c.csv").checkpoints == (10, 300)
+    assert main(["plus", "--model", str(d / "model"), "--hints", str(d / "hints.jsonl"),
+                 "--profile", str(d / "profile.csv"), "--budget", "300", "--quiet"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 300 and len(lines[0]) == 4
+
+
+def test_length_range_clipped_to_nothing_exits_1(order5, capsys, caplog):
+    rc = main(["crack", "--model", str(order5 / "model"), "--test", str(order5 / "test.txt"),
+               "--budget", "10", "--min-len", "3", "--max-len", "3", "--quiet"])
+    assert rc == 1
+    assert "shortest is 4" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+def test_crack_streams_only_the_given_length_range(tmp_path, capsys):
+    # 5**3 + 5**4 = 750 strings have length 3 or 4; the stream ends after them
+    (tmp_path / "alphabet.txt").write_text("abcde\n")
+    words = ["abc", "abd", "bcd", "cde", "aab", "abca", "dcba", "eabc", "bbc", "abcd"]
+    (tmp_path / "train.txt").write_text("\n".join(words * 20) + "\n")
+    (tmp_path / "test.txt").write_text("\n".join(words + ["ccc", "eee", "abab"]) + "\n")
+    model = tmp_path / "model.bin"
+    assert main(["train", "--quiet", "--input", str(tmp_path / "train.txt"),
+                 "--alphabet", str(tmp_path / "alphabet.txt"), "--out", str(model)]) == 0
+    assert main(["crack", "--model", str(model), "--test", str(tmp_path / "test.txt"),
+                 "--budget", "100000", "--max-len", "4", "--quiet"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "750,13,1.0"
+
+
 # --- sim ------------------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -62,6 +64,34 @@ def alphabet_and_text(draw):
 def test_accepts_means_every_character_is_in_the_alphabet(case):
     alphabet, text = case
     assert alphabet.accepts(text) == all(ch in alphabet for ch in text)
+
+
+@given(alphabet_and_text())
+@settings(max_examples=300, deadline=None)
+def test_encode_agrees_with_index_and_accepts(case):
+    alphabet, text = case
+    if alphabet.accepts(text):
+        assert alphabet.encode(text).tolist() == [alphabet.index(ch) for ch in text]
+    else:
+        with pytest.raises(ValueError, match="not in alphabet"):
+            alphabet.encode(text)
+
+
+def test_encode_round_trips_through_decode_batch():
+    a = Alphabet.default()
+    words = ["Passw0rd!", "zzzzzzzzz", "aA0!@#$%-"]
+    codes = np.stack([a.encode(w) for w in words])
+    assert codes.dtype == np.int64
+    assert a.decode_batch(codes) == words
+    assert a.encode("").shape == (0,)
+
+
+@pytest.mark.parametrize("foreign", ["[", "~", "\U0001f600", "\ud800"])
+def test_encode_names_a_foreign_character(foreign):
+    # "[" lies between the default alphabet's code points, "~" above all of them;
+    # a lone surrogate has no UTF-32 encoding of its own
+    with pytest.raises(ValueError, match=re.escape(repr(foreign)) + " not in alphabet"):
+        Alphabet.default().encode("ab" + foreign + "c")
 
 
 def test_alphabet_file_round_trip(tmp_path):

@@ -162,6 +162,14 @@ def test_train_rejects_bad_parameters():
             train(corpus, delta=delta)
 
 
+def test_train_rejects_a_foreign_character_past_the_first_chunk():
+    # a generator, so the corpus is read once, chunk by chunk
+    chunk = omen.model._CHUNK
+    words = (("abba" if i < chunk else "ab!a") for i in range(chunk + 1))
+    with pytest.raises(ValueError, match="'!' not in alphabet"):
+        train(words, alphabet=Alphabet("ab"))
+
+
 @pytest.mark.parametrize("n,L,delta", [(2, 5, 0.1), (3, 10, 0.01), (4, 8, 1.0)])
 def test_model_invariants_after_training(n, L, delta):
     alphabet = synth.make_alphabet(8)
