@@ -73,12 +73,19 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _attack(args):
-    """The test set, its oracle, and the oracle-fed stream over --min-len..--max-len."""
+    """The test set, its oracle, and the oracle-fed stream over the lengths in
+    --min-len..--max-len that the model can guess."""
     model = load_model(args.model)
+    lengths = stream_lengths(model, args.min_len, args.max_len)
     test = load_passwords(args.test, model.alphabet, args.min_len, args.max_len)
+    short = sum(len(p) < lengths.start for p in test.passwords)
+    if short:
+        # the stream never guesses them, so they would only lower the fraction
+        logger.info("left out %d test passwords shorter than %d, the model's shortest length",
+                    short, lengths.start)
+        test = load_passwords(args.test, model.alphabet, lengths.start, args.max_len)
     logger.info("test set: %d passwords (%d rejected)", len(test), test.rejected_count)
     oracle = TestSetOracle(test.passwords, unique=args.unique)
-    lengths = stream_lengths(model, args.min_len, args.max_len)
     return test, oracle, guess_stream(model, args.budget, oracle, lengths)
 
 

@@ -11,6 +11,14 @@ d levels match the vector and that can still reach eta. Reachability comes
 from the same backward dynamic program that counts a cell (_count_dp), so a
 vector whose prefix has no live string costs O(1), and live prefixes are
 extended a whole frontier at a time.
+
+That program runs over classes of contexts, not over all |alphabet|**(n-1)
+contexts (_classes). A transition leads to a context that depends only on
+the last n-2 characters of the one it leaves, so contexts whose transitions
+all sit at one level (every context training never saw) and that share
+that level and those characters have equal reach and count columns at
+every depth; each such group is one class, and every other context a class
+of its own.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ _BATCH = 1024
 
 
 class _Tables(NamedTuple):
-    """Per-model lookup tables for enumeration and counting.
+    """Per-model lookup tables for the walk.
 
     init_grams: initial-gram ranks grouped by negated level, rank-ascending
     within a group; init_start[v] slices the group for level v.
@@ -43,39 +51,102 @@ class _Tables(NamedTuple):
     succ_start: np.ndarray
 
 
+def _level_csr(neg: np.ndarray, L: int, successor) -> tuple[np.ndarray, np.ndarray]:
+    """Level-major CSR over the rows of neg, the negated levels of each row's
+    sigma transitions.
+
+    Block b = level * R + row lists the successors of the row's transitions
+    at that level, in ascending character order. successor maps an int64
+    array of flat positions row * sigma + character to the successors, and
+    may overwrite it. Returns (succ_next, succ_start).
+    """
+    R, sigma = neg.shape
+    index = np.int32 if max(L, sigma) * R < 2**31 else np.int64
+    # a stable sort by level keeps (row, character) order inside a level
+    order = np.argsort(neg.reshape(-1), kind="stable")
+    succ_next = successor(order).astype(index)
+    del order  # free the int64 sort order before the next R*sigma temporaries
+    block = neg.astype(index) * R + np.arange(R, dtype=index)[:, None]
+    succ_start = np.zeros(L * R + 1, dtype=index)
+    np.cumsum(np.bincount(block.reshape(-1), minlength=L * R), out=succ_start[1:])
+    return succ_next, succ_start
+
+
 def _tables(model) -> _Tables:
     cached = getattr(model, "_enum_tables", None)
     if cached is not None:
         return cached
     L = model.L
-    sigma = model.alphabet.size
-    C = sigma ** (model.n - 1)
-    index = np.int32 if max(L, sigma) * C < 2**31 else np.int64
-
+    C = model.alphabet.size ** (model.n - 1)
+    # transition c*sigma+z leads to context (c*sigma+z) % C
+    succ_next, succ_start = _level_csr(-model.cond_level, L,
+                                       lambda pos: np.remainder(pos, C, out=pos))
     init_neg = -model.init_level
-    init_grams = np.argsort(init_neg, kind="stable").astype(index)
+    init_grams = np.argsort(init_neg, kind="stable").astype(succ_next.dtype)
     init_start = np.zeros(L + 1, dtype=np.int64)
     np.cumsum(np.bincount(init_neg, minlength=L), out=init_start[1:])
-
-    # a stable sort by level keeps (context, character) order inside a level;
-    # transition c*sigma+z leads to context (c*sigma+z) % C
-    cond_neg = (-model.cond_level).reshape(-1)
-    order = np.argsort(cond_neg, kind="stable")
-    succ_next = np.remainder(order, C, out=order).astype(index)
-    del order  # free the int64 sort order before the next C*sigma temporaries
-    block = cond_neg.astype(index).reshape(C, sigma) * C + np.arange(C, dtype=index)[:, None]
-    succ_start = np.zeros(L * C + 1, dtype=index)
-    np.cumsum(np.bincount(block.reshape(-1), minlength=L * C), out=succ_start[1:])
 
     tabs = _Tables(init_grams, init_start, succ_next, succ_start)
     model._enum_tables = tabs
     return tabs
 
 
-def _count_dp(tabs: _Tables, layer: np.ndarray) -> np.ndarray:
+class _Classes(NamedTuple):
+    """Contexts merged into classes that share every column of the level-sum
+    dynamic program.
+
+    size is the number of classes and of[c] the class of context c.
+    succ_next/succ_start: CSR over (negated level, class) blocks, laid out
+    as _Tables' context CSR, whose entries are successor classes.
+    """
+
+    size: int
+    of: np.ndarray
+    succ_next: np.ndarray
+    succ_start: np.ndarray
+
+
+def _classes(model) -> _Classes:
+    """Group contexts whose DP columns are equal at every depth.
+
+    Transition c*sigma+z leads to (c mod sigma**(n-2))*sigma + z, so a
+    context reaches the same successors as every context that ends in the
+    same n-2 characters. Two rows whose sigma transitions all sit at one
+    level (as every row never seen in training does) thus have equal
+    columns when they share that level and those characters, and they are
+    one class; every other context is a class of its own.
+    """
+    cached = getattr(model, "_enum_classes", None)
+    if cached is not None:
+        return cached
+    L = model.L
+    sigma = model.alphabet.size
+    C = sigma ** (model.n - 1)
+    S = C // sigma  # suffixes: a context's last n-2 characters
+    index = np.int32 if L * S + C < 2**31 else np.int64
+    ctx = np.arange(C, dtype=index)
+    low = model.cond_level.min(axis=1).astype(index)
+    # keys: (negated level, suffix) for a constant row, L*S + c for context c
+    # otherwise; ranking the keys that occur numbers the classes
+    key = np.where(low == model.cond_level.max(axis=1), ctx % S - low * S, L * S + ctx)
+    used = np.zeros(L * S + C, dtype=bool)
+    used[key] = True
+    rank = np.cumsum(used, dtype=index) - 1
+    of = rank[key]
+    rep = np.empty(int(rank[-1]) + 1, dtype=index)
+    rep[of] = ctx  # any member stands for its class
+    succ = of[(rep % S * sigma)[:, None] + np.arange(sigma, dtype=index)]
+    succ_next, succ_start = _level_csr(-model.cond_level[rep], L,
+                                       lambda pos: succ.reshape(-1)[pos])
+    classes = _Classes(len(rep), of, succ_next, succ_start)
+    model._enum_classes = classes
+    return classes
+
+
+def _count_dp(tabs: _Classes, layer: np.ndarray) -> np.ndarray:
     """One backward step of the level-sum dynamic program.
 
-    layer[s, c] is the number of ways r transitions from context c add up
+    layer[s, c] is the number of ways r transitions from class c add up
     to s negated levels (for a bool layer: whether there is one). Returns
     the same for r + 1 transitions: the sum, over the transitions c -> c2 at
     each level a <= s, of layer[s - a, c2]. Integer layers are exact as long
@@ -97,23 +168,29 @@ def _count_dp(tabs: _Tables, layer: np.ndarray) -> np.ndarray:
     return out
 
 
-def _reach(model, tabs: _Tables, transitions: int, width: int) -> list[np.ndarray]:
+def _reach(model, transitions: int, width: int) -> list[np.ndarray]:
     """can[r][s, c]: some r transitions from context c add up to exactly s.
 
-    Cached on the model. A cell that needs more transitions extends the
-    cached layers; one that needs more columns rebuilds them at least twice
-    as wide, so a scheduler that walks levels down rebuilds O(log) times.
+    The dynamic program runs over _classes(model): the members of a class
+    share every column, so each layer is computed once per class and then
+    gathered to contexts. Cached on the model. A cell that needs more
+    transitions extends the cached layers; one that needs more columns
+    rebuilds them at least twice as wide, so a scheduler that walks levels
+    down rebuilds O(log) times.
     """
-    can = getattr(model, "_enum_reach", None)
-    if can is None or can[0].shape[0] < width:
-        if can is not None:
-            width = max(width, 2 * can[0].shape[0])
-        first = np.zeros((width, model.alphabet.size ** (model.n - 1)), dtype=bool)
+    classes = _classes(model)
+    cached = getattr(model, "_enum_reach", None)
+    if cached is None or cached[0][0].shape[0] < width:
+        if cached is not None:
+            width = max(width, 2 * cached[0][0].shape[0])
+        first = np.zeros((width, classes.size), dtype=bool)
         first[0] = True
-        can = [first]
-    while len(can) <= transitions:
-        can.append(_count_dp(tabs, can[-1]))
-    model._enum_reach = can
+        cached = ([first], [first[:, classes.of]])
+    layers, can = cached
+    while len(layers) <= transitions:
+        layers.append(_count_dp(classes, layers[-1]))
+        can.append(layers[-1][:, classes.of])
+    model._enum_reach = cached
     return can
 
 
@@ -230,7 +307,7 @@ class _Walk:
         self.C = self.sigma**self.n1
         self.k = k
         self.batch = batch_size
-        self.can = _reach(model, tabs, k - 1, budget + 1)
+        self.can = _reach(model, k - 1, budget + 1)
         self.levels: list[int] = []
         self.rem = [budget] * (k + 1)  # level budget left after depth d
         self.ctx: list[np.ndarray | None] = [None] * (k + 1)
@@ -378,20 +455,25 @@ def _enum_fill(walk: _Walk, out: np.ndarray, m: int) -> int:
 def count_guesses(model, eta: int, ell: int) -> int:
     """Size of enum_pwd(model, eta, ell) without materializing guesses.
 
-    Exact at any size: the dynamic program runs in int64 while its entries
-    provably fit and in Python ints beyond that.
+    The dynamic program runs over _classes(model), whose member contexts
+    share every column, and the initial grams read their context's class.
+    Exact at any size: it runs in int64 while its entries provably fit and
+    in Python ints beyond that.
     """
     _check_args(model, eta, ell)
-    tabs = _tables(model)
+    classes = _classes(model)
     sigma = model.alphabet.size
     budget = -eta
-    layer = np.zeros((budget + 1, sigma ** (model.n - 1)), dtype=np.int64)
+    layer = np.zeros((budget + 1, classes.size), dtype=np.int64)
     layer[0] = 1
     for _ in range(ell - (model.n - 1)):
         # each entry of the next layer sums at most sigma entries of this one
         if layer.dtype != object and int(layer.max()) * sigma >= 2**63:
             layer = layer.astype(object)
-        layer = _count_dp(tabs, layer)
-    init_neg = -model.init_level.astype(np.int64)
-    grams = np.flatnonzero(init_neg <= budget)
-    return int(sum(layer[budget - init_neg[grams], grams].tolist()))
+        layer = _count_dp(classes, layer)
+    # reading the initial grams one level at a time keeps the temporaries
+    # below one gather over all C; the sum runs in Python ints, since C
+    # entries that each fit in int64 can add up past it
+    init_neg = -model.init_level
+    return sum(int(layer[budget - v, classes.of[init_neg == v]].sum(dtype=object))
+               for v in range(min(model.L, budget + 1)))

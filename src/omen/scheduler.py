@@ -42,15 +42,19 @@ def guess_stream(model, budget: int, feedback: Feedback | None = None,
         raise ValueError(f"budget must be >= 1, got {budget}")
     use = sorted({int(x) for x in (stream_lengths(model) if lengths is None else lengths)})
     if not use:
-        raise ValueError(f"no length to guess; the model's shortest is {shortest_length(model)}")
+        raise ValueError("no length to guess")
     lowest = {ell: lowest_level(model, ell) for ell in use}
     return islice(_stream(model, feedback, lowest), int(budget))
 
 
 def stream_lengths(model, min_len: int = DEFAULT_MIN_LENGTH,
                    max_len: int = DEFAULT_MAX_LENGTH) -> range:
-    """The lengths in [min_len, max_len] that the model can enumerate."""
-    return range(max(min_len, shortest_length(model)), max_len + 1)
+    """The lengths in [min_len, max_len] that the model can enumerate;
+    ValueError if there are none."""
+    lengths = range(max(min_len, shortest_length(model)), max_len + 1)
+    if not lengths:
+        raise ValueError(f"no length to guess; the model's shortest is {shortest_length(model)}")
+    return lengths
 
 
 def _stream(model, feedback: Feedback | None, lowest: dict[int, int]) -> Iterator[Guess]:

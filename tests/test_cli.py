@@ -240,6 +240,18 @@ def test_streams_of_an_order5_model_start_at_length_4(order5, capsys):
     assert len(lines) == 300 and len(lines[0]) == 4
 
 
+def test_crack_fraction_counts_only_guessable_lengths(order5, capsys, caplog):
+    test = (order5 / "test.txt").read_text().split()
+    guessable = sum(len(w) >= 4 for w in test)
+    with caplog.at_level("INFO", logger="omen"):
+        assert main(["crack", "--model", str(order5 / "model"),
+                     "--test", str(order5 / "test.txt"), "--budget", "3000"]) == 0
+    _, cracked, fraction = capsys.readouterr().out.splitlines()[1].split(",")
+    assert int(cracked) > 0
+    assert float(fraction) == int(cracked) / guessable
+    assert f"left out {len(test) - guessable} test passwords shorter than 4" in caplog.text
+
+
 def test_length_range_clipped_to_nothing_exits_1(order5, capsys, caplog):
     rc = main(["crack", "--model", str(order5 / "model"), "--test", str(order5 / "test.txt"),
                "--budget", "10", "--min-len", "3", "--max-len", "3", "--quiet"])

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,10 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synth
-from omen import Alphabet, NgramModel, boost_conditionals, password_level
+from omen import Alphabet, NgramModel, boost_conditionals, password_level, train
 from omen import enumerator
 from omen.enumerator import count_guesses, enum_level_vectors, enum_pwd
 from omen.similarity import ngram_set
+
+
+def level_model(chars: str, L: int, init_level, cond_level) -> NgramModel:
+    """Order-3 model with hand-assigned levels and probabilities that follow them."""
+    init_level = np.array(init_level, dtype=np.int8)
+    cond_level = np.array(cond_level, dtype=np.int8)
+    init_prob = np.exp(init_level.astype(np.float64))
+    init_prob /= init_prob.sum()
+    cond_prob = np.exp(cond_level.astype(np.float64))
+    cond_prob /= cond_prob.sum(axis=1, keepdims=True)
+    return NgramModel(Alphabet(chars), 3, L, init_prob, cond_prob, init_level, cond_level)
 
 
 def toy_model() -> NgramModel:
@@ -18,15 +30,8 @@ def toy_model() -> NgramModel:
 
     Level sums over length 3: bba=0; aaa,aab,aba=-1; bbb,baa,bab=-2; abb=-3.
     """
-    alphabet = Alphabet("ab")
-    init_level = np.array([0, -1, -1, 0], dtype=np.int8)  # aa ab ba bb
-    cond_level = np.array(
-        [[-1, -1], [0, -2], [-1, -1], [0, -2]], dtype=np.int8)  # rows aa ab ba bb
-    init_prob = np.exp(init_level.astype(np.float64))
-    init_prob /= init_prob.sum()
-    cond_prob = np.exp(cond_level.astype(np.float64))
-    cond_prob /= cond_prob.sum(axis=1, keepdims=True)
-    return NgramModel(alphabet, 3, 10, init_prob, cond_prob, init_level, cond_level)
+    return level_model("ab", 10, [0, -1, -1, 0],  # aa ab ba bb
+                       [[-1, -1], [0, -2], [-1, -1], [0, -2]])  # rows aa ab ba bb
 
 
 def brute_level_map(model, ell: int) -> dict[int, list[str]]:
@@ -309,3 +314,103 @@ def test_batches_stay_within_batch_size(monkeypatch):
     assert list(enum_pwd(model, eta, ell)) == words
     assert max(rows) <= 7
     assert sum(rows) == len(words)
+
+
+# --- context classes ----------------------------------------------------------
+
+
+def reference_reach(model, transitions: int, width: int) -> list[np.ndarray]:
+    """can[r][s, c] by the plain recurrence, one context and character at a time."""
+    sigma = model.alphabet.size
+    C = sigma ** (model.n - 1)
+    can = [np.zeros((width, C), dtype=bool)]
+    can[0][0] = True
+    for _ in range(transitions):
+        prev = can[-1]
+        nxt = np.zeros_like(prev)
+        for c in range(C):
+            for z in range(sigma):
+                a = -int(model.cond_level[c, z])
+                if a < width:
+                    nxt[a:, c] |= prev[:width - a, (c * sigma + z) % C]
+        can.append(nxt)
+    return can
+
+
+def assert_classes_exact(model, ell: int) -> None:
+    """On a model whose contexts merge into fewer classes: every cell of
+    length ell in brute-force order and size, and every reach row equal to
+    the context-space reference."""
+    assert enumerator._classes(model).size < model.alphabet.size ** (model.n - 1)
+    k = ell - (model.n - 2)
+    floor = -(model.L - 1) * k
+    for eta in range(0, floor - 1, -1):
+        want = [word for _, word in brute_cell(model, eta, ell)]
+        assert list(enum_pwd(model, eta, ell)) == want
+        assert count_guesses(model, eta, ell) == len(want)
+    can = enumerator._reach(model, k - 1, 1 - floor)
+    want = reference_reach(model, len(can) - 1, can[0].shape[0])
+    for got, ref in zip(can, want):
+        assert np.array_equal(got, ref)
+
+
+def sparse_model(n: int) -> NgramModel:
+    """Trained on 40 words over three of its five letters, so that most
+    contexts are never seen and their rows sit at one level."""
+    words = synth.markov_words(37, Alphabet("abc"), 40)
+    return train(words, Alphabet("abcde"), n=n, L=5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classes_of_a_sparse_model_are_exact(n):
+    assert_classes_exact(sparse_model(n), 5)
+
+
+def test_constant_rows_of_one_suffix_at_two_levels():
+    model = level_model("abc", 4, [0, -1, -2, -1, 0, -2, -1, -1, 0], [
+        [-1, -1, -1],  # aa: constant at -1, suffix a
+        [-2, -2, -2],  # ab: constant at -2, suffix b
+        [-2, 0, -1],   # ac
+        [-2, -2, -2],  # ba: constant at -2, suffix a
+        [-2, -2, -2],  # bb: constant at -2, suffix b
+        [0, 0, 0],     # bc: constant at 0, suffix c
+        [-1, -1, -1],  # ca: constant at -1, suffix a
+        [0, -1, -2],   # cb
+        [-1, -1, -1],  # cc: constant at -1, suffix c
+    ])
+    of = enumerator._classes(model).of
+    aa, ab, ac, ba, bb, bc, ca, cb, cc = range(9)
+    assert of[aa] == of[ca] != of[ba]
+    assert of[ab] == of[bb]
+    assert len({of[c] for c in (aa, ab, ac, ba, bc, cb, cc)}) == 7
+    assert_classes_exact(model, 5)
+
+
+def test_boost_that_raises_a_constant_row():
+    model = sparse_model(3)
+    d = model.alphabet.index("d")
+    dd = d * model.alphabet.size + d
+    assert len(set(model.cond_level[dd])) == 1
+    view = boost_conditionals(model, {"dda"}, 7.5)
+    assert len(set(view.cond_level[dd])) == 2
+    of = enumerator._classes(view).of
+    assert (of == of[dd]).sum() == 1
+    assert_classes_exact(view, 5)
+
+
+def test_counting_stays_below_one_context_layer():
+    # 300 words leave most of the 8000 contexts of an n=4 model over 20
+    # characters unseen. The class map and graph are built once per model,
+    # by the first count; a cell's own temporaries are what must not grow
+    # with width * C.
+    alphabet = synth.make_alphabet(20)
+    model = train(synth.markov_words(5, alphabet, 300), alphabet, n=4)
+    count_guesses(model, 0, 8)
+    eta = -4
+    tracemalloc.start()
+    try:
+        assert count_guesses(model, eta, 8) > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (1 - eta) * alphabet.size ** 3 * np.dtype(np.int64).itemsize
