@@ -29,7 +29,6 @@ from .corpus import (
 )
 from .enumerator import count_guesses, enum_level_vectors, enum_pwd
 from .errors import (
-    CurveMismatchError,
     EmptyCorpusError,
     HintParseError,
     ModelFormatError,
@@ -38,10 +37,8 @@ from .errors import (
     TrainingError,
 )
 from .evaluation import (
-    ComparisonReport,
     CrackCurve,
     TestSetOracle,
-    compare_curves,
     crack_curve,
     export_curve,
     load_curve,

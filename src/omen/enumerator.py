@@ -18,7 +18,10 @@ the last n-2 characters of the one it leaves, so contexts whose transitions
 all sit at one level (every context training never saw) and that share
 that level and those characters have equal reach and count columns at
 every depth; each such group is one class, and every other context a class
-of its own.
+of its own. The members of a class also lead to the same contexts, so one
+CSR over classes serves both: the program follows its successor classes,
+the walk its successor contexts, and nothing is built per transition of
+every context.
 """
 
 from __future__ import annotations
@@ -33,77 +36,43 @@ from .corpus import DEFAULT_MIN_LENGTH
 _BATCH = 1024
 
 
-class _Tables(NamedTuple):
-    """Per-model lookup tables for the walk.
-
-    init_grams: initial-gram ranks grouped by negated level, rank-ascending
-    within a group; init_start[v] slices the group for level v.
-    succ_next/succ_start: CSR over (negated level, context) blocks, block
-    b = level * C + context; each block lists the contexts reached by the
-    context's transitions at that level, in ascending character order (the
-    character is the new context modulo |alphabet|). The blocks of one
-    level are contiguous, in context order.
-    """
-
-    init_grams: np.ndarray
-    init_start: np.ndarray
-    succ_next: np.ndarray
-    succ_start: np.ndarray
-
-
-def _level_csr(neg: np.ndarray, L: int, successor) -> tuple[np.ndarray, np.ndarray]:
-    """Level-major CSR over the rows of neg, the negated levels of each row's
-    sigma transitions.
-
-    Block b = level * R + row lists the successors of the row's transitions
-    at that level, in ascending character order. successor maps an int64
-    array of flat positions row * sigma + character to the successors, and
-    may overwrite it. Returns (succ_next, succ_start).
-    """
-    R, sigma = neg.shape
-    index = np.int32 if max(L, sigma) * R < 2**31 else np.int64
-    # a stable sort by level keeps (row, character) order inside a level
-    order = np.argsort(neg.reshape(-1), kind="stable")
-    succ_next = successor(order).astype(index)
-    del order  # free the int64 sort order before the next R*sigma temporaries
-    block = neg.astype(index) * R + np.arange(R, dtype=index)[:, None]
-    succ_start = np.zeros(L * R + 1, dtype=index)
-    np.cumsum(np.bincount(block.reshape(-1), minlength=L * R), out=succ_start[1:])
-    return succ_next, succ_start
-
-
-def _tables(model) -> _Tables:
-    cached = getattr(model, "_enum_tables", None)
-    if cached is not None:
-        return cached
-    L = model.L
-    C = model.alphabet.size ** (model.n - 1)
-    # transition c*sigma+z leads to context (c*sigma+z) % C
-    succ_next, succ_start = _level_csr(-model.cond_level, L,
-                                       lambda pos: np.remainder(pos, C, out=pos))
-    init_neg = -model.init_level
-    init_grams = np.argsort(init_neg, kind="stable").astype(succ_next.dtype)
-    init_start = np.zeros(L + 1, dtype=np.int64)
-    np.cumsum(np.bincount(init_neg, minlength=L), out=init_start[1:])
-
-    tabs = _Tables(init_grams, init_start, succ_next, succ_start)
-    model._enum_tables = tabs
-    return tabs
-
-
 class _Classes(NamedTuple):
     """Contexts merged into classes that share every column of the level-sum
-    dynamic program.
+    dynamic program, and the graph both the walk and the program read.
 
     size is the number of classes and of[c] the class of context c.
-    succ_next/succ_start: CSR over (negated level, class) blocks, laid out
-    as _Tables' context CSR, whose entries are successor classes.
+    succ_ctx/succ_next/succ_start: CSR over (negated level, class) blocks,
+    block b = level * size + class, the blocks of one level contiguous in
+    class order. A block lists the class's transitions at that level in
+    ascending character order: succ_ctx holds the contexts they lead to
+    (the character is the context modulo |alphabet|), which are the same
+    for every member of the class, and succ_next the classes of those
+    contexts.
     """
 
     size: int
     of: np.ndarray
+    succ_ctx: np.ndarray
     succ_next: np.ndarray
     succ_start: np.ndarray
+
+
+def _level_csr(neg: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level-major CSR over the rows of neg, the negated levels of each row's
+    sigma transitions.
+
+    Block b = level * R + row lists the row's transitions at that level, in
+    ascending character order, as flat positions row * sigma + character.
+    Returns (positions, succ_start).
+    """
+    R, sigma = neg.shape
+    index = np.int32 if max(L, sigma) * R < 2**31 else np.int64
+    # a stable sort by level keeps (row, character) order inside a level
+    pos = np.argsort(neg.reshape(-1), kind="stable").astype(index)
+    block = neg.astype(index) * R + np.arange(R, dtype=index)[:, None]
+    succ_start = np.zeros(L * R + 1, dtype=index)
+    np.cumsum(np.bincount(block.reshape(-1), minlength=L * R), out=succ_start[1:])
+    return pos, succ_start
 
 
 def _classes(model) -> _Classes:
@@ -114,7 +83,9 @@ def _classes(model) -> _Classes:
     same n-2 characters. Two rows whose sigma transitions all sit at one
     level (as every row never seen in training does) thus have equal
     columns when they share that level and those characters, and they are
-    one class; every other context is a class of its own.
+    one class; every other context is a class of its own. Either way the
+    members of a class lead to the same contexts, so one CSR over classes
+    serves the walk as well as the program.
     """
     cached = getattr(model, "_enum_classes", None)
     if cached is not None:
@@ -123,7 +94,7 @@ def _classes(model) -> _Classes:
     sigma = model.alphabet.size
     C = sigma ** (model.n - 1)
     S = C // sigma  # suffixes: a context's last n-2 characters
-    index = np.int32 if L * S + C < 2**31 else np.int64
+    index = np.int32 if L * C < 2**31 else np.int64  # bounds L*S + C and level*size + class
     ctx = np.arange(C, dtype=index)
     low = model.cond_level.min(axis=1).astype(index)
     # keys: (negated level, suffix) for a constant row, L*S + c for context c
@@ -135,12 +106,42 @@ def _classes(model) -> _Classes:
     of = rank[key]
     rep = np.empty(int(rank[-1]) + 1, dtype=index)
     rep[of] = ctx  # any member stands for its class
-    succ = of[(rep % S * sigma)[:, None] + np.arange(sigma, dtype=index)]
-    succ_next, succ_start = _level_csr(-model.cond_level[rep], L,
-                                       lambda pos: succ.reshape(-1)[pos])
-    classes = _Classes(len(rep), of, succ_next, succ_start)
+    pos, succ_start = _level_csr(-model.cond_level[rep], L)
+    row, z = np.divmod(pos, sigma)
+    succ_ctx = rep[row] % S * sigma + z
+    classes = _Classes(len(rep), of, succ_ctx, of[succ_ctx], succ_start)
     model._enum_classes = classes
     return classes
+
+
+class _Tables(NamedTuple):
+    """Per-model lookup tables for the walk.
+
+    init_grams: initial-gram ranks grouped by negated level, rank-ascending
+    within a group; init_start[v] slices the group for level v.
+    classes: the class CSR of _classes, whose succ_ctx entries the walk
+    follows from a context's class.
+    """
+
+    init_grams: np.ndarray
+    init_start: np.ndarray
+    classes: _Classes
+
+
+def _tables(model) -> _Tables:
+    cached = getattr(model, "_enum_tables", None)
+    if cached is not None:
+        return cached
+    L = model.L
+    classes = _classes(model)
+    init_neg = -model.init_level
+    init_grams = np.argsort(init_neg, kind="stable").astype(classes.of.dtype)
+    init_start = np.zeros(L + 1, dtype=np.int64)
+    np.cumsum(np.bincount(init_neg, minlength=L), out=init_start[1:])
+
+    tabs = _Tables(init_grams, init_start, classes)
+    model._enum_tables = tabs
+    return tabs
 
 
 def _count_dp(tabs: _Classes, layer: np.ndarray) -> np.ndarray:
@@ -302,9 +303,9 @@ class _Walk:
 
     def __init__(self, model, tabs: _Tables, budget: int, k: int, batch_size: int):
         self.tabs = tabs
+        self.classes = tabs.classes
         self.sigma = model.alphabet.size
         self.n1 = model.n - 1
-        self.C = self.sigma**self.n1
         self.k = k
         self.batch = batch_size
         self.can = _reach(model, k - 1, budget + 1)
@@ -353,8 +354,9 @@ class _Walk:
             self.offset[0] = lo
             self.total[0] = int(hi - lo)
             return
-        start = self.tabs.succ_start
-        block = self.ctx[depth] + level * self.C
+        classes = self.classes
+        start = classes.succ_start
+        block = classes.of[self.ctx[depth]] + level * classes.size
         first = start[block]
         counts = start[block + 1] - first
         cum = np.cumsum(counts)
@@ -382,7 +384,7 @@ class _Walk:
             take[0] -= q0 - (cum[p0] - counts[p0])
             take[-1] -= cum[p1] - q1
             par = np.repeat(np.arange(p0, p1 + 1), take)
-            nxt = self.tabs.succ_next[np.arange(q0, q1) + self.offset[depth][par]]
+            nxt = self.classes.succ_ctx[np.arange(q0, q1) + self.offset[depth][par]]
         left = self.k - 1 - depth
         if left:
             keep = self.can[left][self.rem[depth + 1]][nxt]

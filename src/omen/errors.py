@@ -32,6 +32,3 @@ class ScoringError(OmenError):
 class ModelFormatError(OmenError):
     """Model file is corrupt, truncated, or has the wrong magic/version."""
 
-
-class CurveMismatchError(OmenError):
-    """Crack curves cannot be compared (different checkpoints)."""

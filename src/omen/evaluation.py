@@ -6,7 +6,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import CurveMismatchError, OmenError
+from .errors import OmenError
 
 
 @dataclass(frozen=True)
@@ -114,28 +114,3 @@ def load_curve(path) -> CrackCurve:
         return CrackCurve(tuple(cps), tuple(fracs))
     except ValueError as exc:
         raise OmenError(f"{path}: {exc}") from None
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    checkpoints: tuple[int, ...]
-    gaps: tuple[float, ...]
-    wins: int
-    dominance: float
-    max_gap: float
-
-
-def compare_curves(a: CrackCurve, b: CrackCurve) -> ComparisonReport:
-    """Per-checkpoint gap a-b, the count of checkpoints where a >= b, and the
-    largest absolute gap. Raises when the curves sample different checkpoints."""
-    if a.checkpoints != b.checkpoints:
-        raise CurveMismatchError(f"checkpoints differ: {a.checkpoints} vs {b.checkpoints}")
-    gaps = tuple(fa - fb for fa, fb in zip(a.fractions, b.fractions))
-    wins = sum(1 for g in gaps if g >= 0.0)
-    return ComparisonReport(
-        checkpoints=a.checkpoints,
-        gaps=gaps,
-        wins=wins,
-        dominance=wins / len(gaps),
-        max_gap=max(abs(g) for g in gaps),
-    )

@@ -60,8 +60,13 @@ def discretize(prob: float, c1: float, c2: float) -> int:
 
 
 def _discretize_array(prob: np.ndarray, c1: float, c2: float, min_level: int) -> np.ndarray:
-    lvl = np.rint(np.log(c1 * prob + c2))
-    return np.clip(lvl, min_level, 0).astype(np.int8)
+    # every step writes one float buffer, so the peak is prob plus one copy
+    lvl = np.multiply(prob, c1)
+    lvl += c2
+    np.log(lvl, out=lvl)
+    np.rint(lvl, out=lvl)
+    np.clip(lvl, min_level, 0, out=lvl)
+    return lvl.astype(np.int8)
 
 
 def _encode_concat(alphabet: Alphabet, passwords) -> tuple[np.ndarray, np.ndarray]:
@@ -161,10 +166,18 @@ def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
     if not init_counts.any():
         raise TrainingError(f"no entry has the {n1} characters needed for an initial gram")
 
-    init_counts = init_counts.astype(np.float64)
-    init_prob = (init_counts + delta) / (init_counts.sum() + delta * C)
-    cond_counts = cond_counts.astype(np.float64).reshape(C, sigma)
-    cond_prob = (cond_counts + delta) / (cond_counts.sum(axis=1, keepdims=True) + delta * sigma)
+    # the counts become the probabilities in place: one float copy each,
+    # whose totals are taken before delta is added
+    init_prob = init_counts.astype(np.float64)
+    del init_counts
+    total = init_prob.sum() + delta * C
+    init_prob += delta
+    init_prob /= total
+    cond_prob = cond_counts.astype(np.float64).reshape(C, sigma)
+    del cond_counts
+    totals = cond_prob.sum(axis=1, keepdims=True) + delta * sigma
+    cond_prob += delta
+    cond_prob /= totals
 
     min_level = -(L - 1)
     c1i, c2 = calibrate(float(init_prob.max()), L)

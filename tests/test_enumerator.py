@@ -414,3 +414,17 @@ def test_counting_stays_below_one_context_layer():
     finally:
         tracemalloc.stop()
     assert peak < (1 - eta) * alphabet.size ** 3 * np.dtype(np.int64).itemsize
+
+
+def test_walk_stays_below_one_transition_table():
+    # The first cell of a fresh model builds the class CSR and the reach
+    # tables; none of it may be indexed by all C*sigma transitions.
+    alphabet = synth.make_alphabet(20)
+    model = train(synth.markov_words(5, alphabet, 300), alphabet, n=4)
+    tracemalloc.start()
+    try:
+        assert sum(1 for _ in enum_pwd(model, -4, 8)) > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < alphabet.size ** 4 * np.dtype(np.int64).itemsize

@@ -4,10 +4,8 @@ import synth
 from omen import (
     Corpus,
     CrackCurve,
-    CurveMismatchError,
     OmenError,
     TestSetOracle,
-    compare_curves,
     crack_curve,
     export_curve,
     guess_stream,
@@ -137,30 +135,3 @@ def test_load_curve_rejects_garbage(tmp_path):
     with pytest.raises(OmenError):
         load_curve(path)
 
-
-# --- comparison ---------------------------------------------------------------
-
-
-def test_compare_curves_by_hand():
-    a = CrackCurve((1, 10, 100), (0.2, 0.5, 0.9))
-    b = CrackCurve((1, 10, 100), (0.1, 0.6, 0.7))
-    report = compare_curves(a, b)
-    assert report.checkpoints == (1, 10, 100)
-    assert report.gaps == pytest.approx((0.1, -0.1, 0.2))
-    assert report.wins == 2
-    assert report.dominance == pytest.approx(2 / 3)
-    assert report.max_gap == pytest.approx(0.2)
-
-
-def test_compare_curves_requires_same_checkpoints():
-    a = CrackCurve((1, 10), (0.1, 0.2))
-    b = CrackCurve((1, 20), (0.1, 0.2))
-    with pytest.raises(CurveMismatchError):
-        compare_curves(a, b)
-
-
-def test_compare_identical_curves():
-    a = CrackCurve((1, 10), (0.3, 0.4))
-    report = compare_curves(a, a)
-    assert report.gaps == (0.0, 0.0)
-    assert report.wins == 2 and report.dominance == 1.0 and report.max_gap == 0.0

@@ -147,6 +147,15 @@ def test_training_memory_does_not_grow_with_the_corpus():
     assert large <= small + 512 * 1024, (small, large)
 
 
+def test_training_holds_about_two_conditional_tables():
+    # the int64 counts and their float copy, or the probabilities and one
+    # discretization buffer: never more than that at once
+    alphabet = Alphabet.default()
+    table = alphabet.size ** 3 * np.dtype(np.float64).itemsize
+    peak = _train_peak_bytes(Corpus(synth.markov_words(3, alphabet, 2000)), alphabet)
+    assert peak < 2.5 * table, peak / table
+
+
 def test_train_rejects_bad_parameters():
     corpus = Corpus(["abc"])
     with pytest.raises(ValueError):
