@@ -175,7 +175,7 @@ def _with_conditionals(model, cond_prob: np.ndarray, cond_level: np.ndarray) -> 
     """The model with its conditional tables replaced; boosted rows are only
     approximately normalised, so they are not validated."""
     return NgramModel(model.alphabet, model.n, model.L, model.init_prob, cond_prob,
-                      model.init_level, cond_level, delta=model.delta, validate=False)
+                      model.init_level, cond_level, validate=False)
 
 
 def boost_conditionals(model, hint_grams, alpha: float) -> NgramModel:

@@ -22,8 +22,8 @@ from .boost import (
     plus_stream,
 )
 from .corpus import (ATTRIBUTE_NAMES, DEFAULT_MAX_LENGTH, DEFAULT_MIN_LENGTH, Alphabet,
-                     load_hints, load_passwords)
-from .errors import OmenError
+                     Corpus, load_hints, load_passwords)
+from .errors import EmptyCorpusError, OmenError
 from .evaluation import TestSetOracle, crack_curve, export_curve
 from .model import (
     DEFAULT_DELTA,
@@ -78,12 +78,16 @@ def _attack(args):
     model = load_model(args.model)
     lengths = stream_lengths(model, args.min_len, args.max_len)
     test = load_passwords(args.test, model.alphabet, args.min_len, args.max_len)
-    short = sum(len(p) < lengths.start for p in test.passwords)
+    kept = [p for p in test.passwords if len(p) >= lengths.start]
+    short = len(test) - len(kept)
     if short:
         # the stream never guesses them, so they would only lower the fraction
         logger.info("left out %d test passwords shorter than %d, the model's shortest length",
                     short, lengths.start)
-        test = load_passwords(args.test, model.alphabet, lengths.start, args.max_len)
+        test = Corpus(kept, test.rejected_count + short)
+        if not kept:
+            raise EmptyCorpusError(f"no usable passwords in {args.test} "
+                                   f"(rejected {test.rejected_count})")
     logger.info("test set: %d passwords (%d rejected)", len(test), test.rejected_count)
     oracle = TestSetOracle(test.passwords, unique=args.unique)
     return test, oracle, guess_stream(model, args.budget, oracle, lengths)
@@ -144,10 +148,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_sim(args) -> int:
-    records = load_hints(args.hints)
+def _load_records(path):
+    """The hint records of path; an empty file is a data error."""
+    records = load_hints(path)
     if not records:
-        raise OmenError(f"{args.hints}: no hint records")
+        raise OmenError(f"{path}: no hint records")
+    return records
+
+
+def _cmd_sim(args) -> int:
+    records = _load_records(args.hints)
     wrote = False
     if args.cdf:
         points = cdf_similarity(records, args.attribute)
@@ -173,9 +183,7 @@ def _cmd_sim(args) -> int:
 
 def _cmd_alpha(args) -> int:
     model = load_model(args.model)
-    records = load_hints(args.hints)
-    if not records:
-        raise OmenError(f"{args.hints}: no hint records")
+    records = _load_records(args.hints)
     grid = _parse_grid(args.grid)
     alpha_star, boost = estimate_alpha(records, args.attribute, model, grid, b=args.exponent)
     sys.stdout.write("alpha,lnAlpha,boostLevel\n")
@@ -185,7 +193,7 @@ def _cmd_alpha(args) -> int:
 
 def _cmd_plus(args) -> int:
     model = load_model(args.model)
-    records = load_hints(args.hints)
+    records = _load_records(args.hints)
     if not 0 <= args.target < len(records):
         raise ValueError(f"--target must be in [0, {len(records) - 1}]")
     profile = BoostProfile.load(args.profile, L=model.L)

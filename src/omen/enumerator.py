@@ -13,15 +13,17 @@ vector whose prefix has no live string costs O(1), and live prefixes are
 extended a whole frontier at a time.
 
 That program runs over classes of contexts, not over all |alphabet|**(n-1)
-contexts (_classes). A transition leads to a context that depends only on
-the last n-2 characters of the one it leaves, so contexts whose transitions
-all sit at one level (every context training never saw) and that share
-that level and those characters have equal reach and count columns at
-every depth; each such group is one class, and every other context a class
-of its own. The members of a class also lead to the same contexts, so one
-CSR over classes serves both: the program follows its successor classes,
-the walk its successor contexts, and nothing is built per transition of
-every context.
+contexts. A transition leads to a context that depends only on the last n-2
+characters of the one it leaves, so contexts whose transitions all sit at
+one level (every context training never saw) and that share that level and
+those characters have equal reach and count columns at every depth; each
+such group is one class, and every other context a class of its own. The
+members of a class also lead to the same contexts, so one index over
+classes (_tables, cached on the model) serves everything: the program and
+its reach table are indexed by class, and the walk carries each prefix's
+class next to its context, reading both from the same CSR positions. Nothing
+is built per transition of every context, and no table is indexed by
+context.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ from .corpus import DEFAULT_MIN_LENGTH
 _BATCH = 1024
 
 
-class _Classes(NamedTuple):
-    """Contexts merged into classes that share every column of the level-sum
-    dynamic program, and the graph both the walk and the program read.
+class _Tables(NamedTuple):
+    """The enumerator's per-model index, over classes of contexts that share
+    every column of the level-sum dynamic program.
 
     size is the number of classes and of[c] the class of context c.
     succ_ctx/succ_next/succ_start: CSR over (negated level, class) blocks,
@@ -48,6 +50,9 @@ class _Classes(NamedTuple):
     (the character is the context modulo |alphabet|), which are the same
     for every member of the class, and succ_next the classes of those
     contexts.
+    init_grams: initial-gram ranks grouped by negated level, rank-ascending
+    within a group; init_start[v] slices the group for level v, and
+    init_cls holds each gram's class.
     """
 
     size: int
@@ -55,6 +60,9 @@ class _Classes(NamedTuple):
     succ_ctx: np.ndarray
     succ_next: np.ndarray
     succ_start: np.ndarray
+    init_grams: np.ndarray
+    init_cls: np.ndarray
+    init_start: np.ndarray
 
 
 def _level_csr(neg: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,8 +83,8 @@ def _level_csr(neg: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
     return pos, succ_start
 
 
-def _classes(model) -> _Classes:
-    """Group contexts whose DP columns are equal at every depth.
+def _tables(model) -> _Tables:
+    """Build (once per model, then cached) the class index of _Tables.
 
     Transition c*sigma+z leads to (c mod sigma**(n-2))*sigma + z, so a
     context reaches the same successors as every context that ends in the
@@ -87,7 +95,7 @@ def _classes(model) -> _Classes:
     members of a class lead to the same contexts, so one CSR over classes
     serves the walk as well as the program.
     """
-    cached = getattr(model, "_enum_classes", None)
+    cached = getattr(model, "_enum_tables", None)
     if cached is not None:
         return cached
     L = model.L
@@ -106,45 +114,21 @@ def _classes(model) -> _Classes:
     of = rank[key]
     rep = np.empty(int(rank[-1]) + 1, dtype=index)
     rep[of] = ctx  # any member stands for its class
+    del ctx, low, key, used, rank  # C-sized; not kept through the CSR build
     pos, succ_start = _level_csr(-model.cond_level[rep], L)
     row, z = np.divmod(pos, sigma)
     succ_ctx = rep[row] % S * sigma + z
-    classes = _Classes(len(rep), of, succ_ctx, of[succ_ctx], succ_start)
-    model._enum_classes = classes
-    return classes
-
-
-class _Tables(NamedTuple):
-    """Per-model lookup tables for the walk.
-
-    init_grams: initial-gram ranks grouped by negated level, rank-ascending
-    within a group; init_start[v] slices the group for level v.
-    classes: the class CSR of _classes, whose succ_ctx entries the walk
-    follows from a context's class.
-    """
-
-    init_grams: np.ndarray
-    init_start: np.ndarray
-    classes: _Classes
-
-
-def _tables(model) -> _Tables:
-    cached = getattr(model, "_enum_tables", None)
-    if cached is not None:
-        return cached
-    L = model.L
-    classes = _classes(model)
     init_neg = -model.init_level
-    init_grams = np.argsort(init_neg, kind="stable").astype(classes.of.dtype)
+    init_grams = np.argsort(init_neg, kind="stable").astype(index)
     init_start = np.zeros(L + 1, dtype=np.int64)
     np.cumsum(np.bincount(init_neg, minlength=L), out=init_start[1:])
-
-    tabs = _Tables(init_grams, init_start, classes)
+    tabs = _Tables(len(rep), of, succ_ctx, of[succ_ctx], succ_start,
+                   init_grams, of[init_grams], init_start)
     model._enum_tables = tabs
     return tabs
 
 
-def _count_dp(tabs: _Classes, layer: np.ndarray) -> np.ndarray:
+def _count_dp(tabs: _Tables, layer: np.ndarray) -> np.ndarray:
     """One backward step of the level-sum dynamic program.
 
     layer[s, c] is the number of ways r transitions from class c add up
@@ -170,28 +154,24 @@ def _count_dp(tabs: _Classes, layer: np.ndarray) -> np.ndarray:
 
 
 def _reach(model, transitions: int, width: int) -> list[np.ndarray]:
-    """can[r][s, c]: some r transitions from context c add up to exactly s.
+    """can[r][s, c]: some r transitions from class c add up to exactly s.
 
-    The dynamic program runs over _classes(model): the members of a class
-    share every column, so each layer is computed once per class and then
-    gathered to contexts. Cached on the model. A cell that needs more
-    transitions extends the cached layers; one that needs more columns
-    rebuilds them at least twice as wide, so a scheduler that walks levels
-    down rebuilds O(log) times.
+    Indexed by the classes of _tables(model), whose members share every
+    column. Cached on the model. A cell that needs more transitions extends
+    the cached layers; one that needs more columns rebuilds them at least
+    twice as wide, so a scheduler that walks levels down rebuilds O(log)
+    times.
     """
-    classes = _classes(model)
-    cached = getattr(model, "_enum_reach", None)
-    if cached is None or cached[0][0].shape[0] < width:
-        if cached is not None:
-            width = max(width, 2 * cached[0][0].shape[0])
-        first = np.zeros((width, classes.size), dtype=bool)
-        first[0] = True
-        cached = ([first], [first[:, classes.of]])
-    layers, can = cached
-    while len(layers) <= transitions:
-        layers.append(_count_dp(classes, layers[-1]))
-        can.append(layers[-1][:, classes.of])
-    model._enum_reach = cached
+    tabs = _tables(model)
+    can = getattr(model, "_enum_reach", None)
+    if can is None or can[0].shape[0] < width:
+        if can is not None:
+            width = max(width, 2 * can[0].shape[0])
+        can = [np.zeros((width, tabs.size), dtype=bool)]
+        can[0][0] = True
+        model._enum_reach = can
+    while len(can) <= transitions:
+        can.append(_count_dp(tabs, can[-1]))
     return can
 
 
@@ -288,12 +268,12 @@ class _Walk:
     """Frontiers of one cell, one chunk of at most batch_size per depth.
 
     Depth 1 holds initial grams, depth d > 1 the prefixes after d - 1
-    transitions, depth k full strings. Each entry is a context plus the index
-    of its parent in the chunk one depth up, so a string is read back by
-    following parents. A chunk is generated from the chunk above, as a range
-    of its candidate children (the parents' CSR blocks at the vector's level
-    for that depth, concatenated), and keeps only children from which the
-    rest of the level budget is still reachable.
+    transitions, depth k full strings. Each entry is a context, its class and
+    the index of its parent in the chunk one depth up, so a string is read
+    back by following parents. A chunk is generated from the chunk above, as
+    a range of its candidate children (the parents' CSR blocks at the
+    vector's level for that depth, concatenated), and keeps only children
+    from whose class the rest of the level budget is still reachable.
 
     Chunks that hold a whole frontier (depths 1..full) stay valid for the
     next vector as far as it shares the current vector's prefix. When a whole
@@ -303,7 +283,6 @@ class _Walk:
 
     def __init__(self, model, tabs: _Tables, budget: int, k: int, batch_size: int):
         self.tabs = tabs
-        self.classes = tabs.classes
         self.sigma = model.alphabet.size
         self.n1 = model.n - 1
         self.k = k
@@ -312,6 +291,7 @@ class _Walk:
         self.levels: list[int] = []
         self.rem = [budget] * (k + 1)  # level budget left after depth d
         self.ctx: list[np.ndarray | None] = [None] * (k + 1)
+        self.cls: list[np.ndarray | None] = [None] * (k + 1)
         self.par: list[np.ndarray | None] = [None] * (k + 1)
         # children of depth d's chunk: per parent the CSR offset, count and
         # cumulative count; the total, the next candidate, and the children
@@ -349,14 +329,14 @@ class _Walk:
         level = self.levels[depth]
         self.pos[depth] = 0
         self.kept[depth] = 0
+        tabs = self.tabs
         if depth == 0:
-            lo, hi = self.tabs.init_start[level], self.tabs.init_start[level + 1]
+            lo, hi = tabs.init_start[level], tabs.init_start[level + 1]
             self.offset[0] = lo
             self.total[0] = int(hi - lo)
             return
-        classes = self.classes
-        start = classes.succ_start
-        block = classes.of[self.ctx[depth]] + level * classes.size
+        start = tabs.succ_start
+        block = self.cls[depth] + level * tabs.size
         first = start[block]
         counts = start[block + 1] - first
         cum = np.cumsum(counts)
@@ -371,9 +351,11 @@ class _Walk:
         q1 = min(q0 + self.batch, self.total[depth])
         self.pos[depth] = q1
         whole = q0 == 0 and q1 == self.total[depth]
+        tabs = self.tabs
         if depth == 0:
             lo = self.offset[0]
-            nxt = self.tabs.init_grams[lo + q0:lo + q1]
+            nxt = tabs.init_grams[lo + q0:lo + q1]
+            cls = tabs.init_cls[lo + q0:lo + q1]
             par = None
         else:
             # parents p0..p1 hold candidates q0..q1-1; clip the two ends
@@ -384,11 +366,14 @@ class _Walk:
             take[0] -= q0 - (cum[p0] - counts[p0])
             take[-1] -= cum[p1] - q1
             par = np.repeat(np.arange(p0, p1 + 1), take)
-            nxt = self.classes.succ_ctx[np.arange(q0, q1) + self.offset[depth][par]]
+            at = np.arange(q0, q1) + self.offset[depth][par]
+            nxt = tabs.succ_ctx[at]
+            cls = tabs.succ_next[at]
         left = self.k - 1 - depth
         if left:
-            keep = self.can[left][self.rem[depth + 1]][nxt]
+            keep = self.can[left][self.rem[depth + 1]][cls]
             nxt = nxt[keep]
+            cls = cls[keep]
             if par is not None:
                 par = par[keep]
         self.full = min(self.full, depth)
@@ -396,6 +381,7 @@ class _Walk:
             return False
         self.kept[depth] += nxt.shape[0]
         self.ctx[depth + 1] = nxt
+        self.cls[depth + 1] = cls
         self.par[depth + 1] = par
         if whole and self.full == depth:
             self.full = depth + 1
@@ -457,25 +443,25 @@ def _enum_fill(walk: _Walk, out: np.ndarray, m: int) -> int:
 def count_guesses(model, eta: int, ell: int) -> int:
     """Size of enum_pwd(model, eta, ell) without materializing guesses.
 
-    The dynamic program runs over _classes(model), whose member contexts
-    share every column, and the initial grams read their context's class.
-    Exact at any size: it runs in int64 while its entries provably fit and
-    in Python ints beyond that.
+    The dynamic program runs over the classes of _tables(model), whose
+    member contexts share every column, and the initial grams read their
+    class. Exact at any size: it runs in int64 while its entries provably
+    fit and in Python ints beyond that.
     """
     _check_args(model, eta, ell)
-    classes = _classes(model)
+    tabs = _tables(model)
     sigma = model.alphabet.size
     budget = -eta
-    layer = np.zeros((budget + 1, classes.size), dtype=np.int64)
+    layer = np.zeros((budget + 1, tabs.size), dtype=np.int64)
     layer[0] = 1
     for _ in range(ell - (model.n - 1)):
         # each entry of the next layer sums at most sigma entries of this one
         if layer.dtype != object and int(layer.max()) * sigma >= 2**63:
             layer = layer.astype(object)
-        layer = _count_dp(classes, layer)
+        layer = _count_dp(tabs, layer)
     # reading the initial grams one level at a time keeps the temporaries
     # below one gather over all C; the sum runs in Python ints, since C
     # entries that each fit in int64 can add up past it
-    init_neg = -model.init_level
-    return sum(int(layer[budget - v, classes.of[init_neg == v]].sum(dtype=object))
+    start, init_cls = tabs.init_start, tabs.init_cls
+    return sum(int(layer[budget - v, init_cls[start[v]:start[v + 1]]].sum(dtype=object))
                for v in range(min(model.L, budget + 1)))

@@ -1,4 +1,4 @@
-"""Replay guess streams against test sets; record, export, compare curves."""
+"""Replay guess streams against test sets; record, export and load crack curves."""
 
 from __future__ import annotations
 

@@ -87,7 +87,6 @@ class NgramModel:
         cond_prob: np.ndarray,
         init_level: np.ndarray,
         cond_level: np.ndarray,
-        delta: float | None = None,
         validate: bool = True,
     ):
         if n < 2:
@@ -97,7 +96,6 @@ class NgramModel:
         self.alphabet = alphabet
         self.n = n
         self.L = L
-        self.delta = delta
         C = alphabet.size ** (n - 1)
         sigma = alphabet.size
         self.init_prob = np.ascontiguousarray(init_prob, dtype=np.float64).reshape(C)
@@ -184,7 +182,7 @@ def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
     c1c, _ = calibrate(float(cond_prob.max()), L)
     init_level = _discretize_array(init_prob, c1i, c2, min_level)
     cond_level = _discretize_array(cond_prob, c1c, c2, min_level)
-    return NgramModel(alphabet, n, L, init_prob, cond_prob, init_level, cond_level, delta=delta)
+    return NgramModel(alphabet, n, L, init_prob, cond_prob, init_level, cond_level)
 
 
 def _count_chunk(alphabet: Alphabet, n: int, passwords: list[str],
@@ -257,10 +255,11 @@ def save_model(model: NgramModel, path) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIII", _FORMAT_VERSION, model.n, model.L, len(abytes)))
         fh.write(abytes)
-        fh.write(model.init_prob.astype("<f8").tobytes(order="C"))
-        fh.write(model.cond_prob.astype("<f8").tobytes(order="C"))
-        fh.write(model.init_level.astype("i1").tobytes(order="C"))
-        fh.write(model.cond_level.astype("i1").tobytes(order="C"))
+        # the tables' own buffers, with no copy when they are already in
+        # the file's dtype (a copy of a table can be most of training's peak)
+        for arr, dtype in ((model.init_prob, "<f8"), (model.cond_prob, "<f8"),
+                           (model.init_level, "i1"), (model.cond_level, "i1")):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype).data)
 
 
 def load_model(path) -> NgramModel:
@@ -271,7 +270,7 @@ def load_model(path) -> NgramModel:
     init_prob f64[C], cond_prob f64[C*sigma], init_level i8[C],
     cond_level i8[C*sigma], each C-ordered in gram rank order.
 
-    The smoothing delta is not stored; a loaded model reports delta=None.
+    The smoothing delta is not stored.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -312,4 +311,4 @@ def load_model(path) -> NgramModel:
     if init_prob.max() <= 0 or cond_prob.max() <= 0:
         raise ModelFormatError("probability table has no positive entry")
     return NgramModel(alphabet, n, L, init_prob, cond_prob, init_level, cond_level,
-                      delta=None, validate=False)
+                      validate=False)

@@ -252,6 +252,22 @@ def test_crack_fraction_counts_only_guessable_lengths(order5, capsys, caplog):
     assert f"left out {len(test) - guessable} test passwords shorter than 4" in caplog.text
 
 
+def test_short_test_passwords_count_as_rejected(order5, capsys, caplog):
+    # four lines: too short for the model, too long for --max-len, foreign, kept
+    (order5 / "mixed.txt").write_text("123\n123456789\nabcd\n1234\n")
+    (order5 / "short.txt").write_text("123\n456\nabcd\n")
+    attack = ["crack", "--model", str(order5 / "model"), "--budget", "10", "--max-len", "8"]
+    with caplog.at_level("INFO", logger="omen"):
+        assert main([*attack, "--test", str(order5 / "mixed.txt")]) == 0
+        assert "left out 1 test passwords shorter than 4" in caplog.text
+        assert "test set: 1 passwords (3 rejected)" in caplog.text
+        caplog.clear()
+        assert main([*attack, "--test", str(order5 / "short.txt")]) == 2
+        assert "no usable passwords in" in caplog.text
+        assert "(rejected 3)" in caplog.text
+    capsys.readouterr()
+
+
 def test_length_range_clipped_to_nothing_exits_1(order5, capsys, caplog):
     rc = main(["crack", "--model", str(order5 / "model"), "--test", str(order5 / "test.txt"),
                "--budget", "10", "--min-len", "3", "--max-len", "3", "--quiet"])
@@ -367,6 +383,16 @@ def test_plus_target_out_of_range_exit_1(workdir, capsys):
                "--budget", "10", "--target", "9999", "--quiet"])
     assert rc == 1
     capsys.readouterr()
+
+
+def test_plus_empty_hints_exit_2(workdir, capsys, caplog):
+    empty = workdir["root"] / "empty.jsonl"
+    empty.write_text("")
+    rc = main(["plus", "--model", str(workdir["model"]), "--hints", str(empty),
+               "--profile", str(workdir["profile"]), "--budget", "10", "--quiet"])
+    assert rc == 2
+    assert "no hint records" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 def test_plus_bad_profile_exit_2(workdir, capsys):

@@ -252,7 +252,6 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(loaded.cond_prob, model.cond_prob)
     assert np.array_equal(loaded.init_level, model.init_level)
     assert np.array_equal(loaded.cond_level, model.cond_level)
-    assert loaded.delta is None
 
 
 def test_save_is_deterministic(tmp_path):
@@ -261,6 +260,19 @@ def test_save_is_deterministic(tmp_path):
     save_model(model, p1)
     save_model(model, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_save_writes_the_tables_without_copies(tmp_path):
+    alphabet = synth.make_alphabet(30)
+    model = train(Corpus(synth.markov_words(9, alphabet, 500)), alphabet=alphabet, n=3)
+    tracemalloc.start()
+    try:
+        save_model(model, tmp_path / "model")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * model.cond_prob.nbytes, peak / model.cond_prob.nbytes
+    assert load_model(tmp_path / "model").cond_prob.tobytes() == model.cond_prob.tobytes()
 
 
 def test_load_rejects_corrupt_files(tmp_path):
