@@ -22,6 +22,7 @@ from .corpus import (
     Alphabet,
     Corpus,
     HintRecord,
+    PasswordFile,
     load_hints,
     load_passwords,
     save_hints,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ATTRIBUTE_NAMES, HintRecord
+from .corpus import ATTRIBUTE_NAMES, HintRecord, read_text
 from .errors import OmenError, ScoringError
 from .model import NgramModel, password_probability
 from .scheduler import guess_stream
@@ -78,7 +78,7 @@ class BoostProfile:
     @classmethod
     def load(cls, path, L: int = 10) -> "BoostProfile":
         profile = cls(L)
-        with open(path, encoding="utf-8") as fh:
+        with read_text(path) as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line == "attribute,alpha,boostLevel":

@@ -22,7 +22,7 @@ from .boost import (
     plus_stream,
 )
 from .corpus import (ATTRIBUTE_NAMES, DEFAULT_MAX_LENGTH, DEFAULT_MIN_LENGTH, Alphabet,
-                     Corpus, load_hints, load_passwords)
+                     Corpus, PasswordFile, load_hints, load_passwords)
 from .errors import EmptyCorpusError, OmenError
 from .evaluation import TestSetOracle, crack_curve, export_curve
 from .model import (
@@ -102,9 +102,10 @@ def _curve(args):
 
 def _cmd_train(args) -> int:
     alphabet = Alphabet.from_file(args.alphabet) if args.alphabet else Alphabet.default()
-    corpus = load_passwords(args.input, alphabet, args.min_len, args.max_len)
-    logger.info("loaded %d passwords (%d rejected)", len(corpus), corpus.rejected_count)
-    model = train(corpus, alphabet, n=args.order, L=args.levels, delta=args.delta)
+    # streamed: train reads the file as it counts, so no password list is held
+    passwords = PasswordFile(args.input, alphabet, args.min_len, args.max_len)
+    model = train(passwords, alphabet, n=args.order, L=args.levels, delta=args.delta)
+    logger.info("loaded %d passwords (%d rejected)", passwords.kept, passwords.rejected_count)
     save_model(model, args.out)
     logger.info("wrote model (n=%d, L=%d, |alphabet|=%d) to %s",
                 model.n, model.L, alphabet.size, args.out)

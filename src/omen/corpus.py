@@ -10,14 +10,18 @@ from __future__ import annotations
 
 import json
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyCorpusError, HintParseError
+from .errors import EmptyCorpusError, HintParseError, OmenError
 
 DEFAULT_MIN_LENGTH = 3
 DEFAULT_MAX_LENGTH = 20
+
+# characters per read of a password file; a pass holds one block's lines
+_BLOCK = 1 << 16
 
 # Attribute vocabulary for hint records, in canonical report order.
 ATTRIBUTE_NAMES = (
@@ -39,6 +43,17 @@ _DEFAULT_CHARS = (
     "0123456789"
     "!@#$%^&*.-"
 )
+
+
+@contextmanager
+def read_text(path):
+    """path opened for reading as UTF-8 text; bytes that are not UTF-8 are a
+    data error (OmenError) naming the file, not a ValueError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise OmenError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 class Alphabet:
@@ -71,7 +86,7 @@ class Alphabet:
 
     @classmethod
     def from_file(cls, path) -> "Alphabet":
-        with open(path, encoding="utf-8") as fh:
+        with read_text(path) as fh:
             line = fh.readline().rstrip("\n")
         return cls(line)
 
@@ -140,36 +155,67 @@ class HintRecord:
     attributes: dict[str, list[str]] = field(default_factory=dict)
 
 
+class PasswordFile:
+    """The passwords of a newline-delimited UTF-8 file, streamed.
+
+    Iterating yields, in file order, exactly the lines whose characters all
+    belong to the alphabet and whose length lies in [min_len, max_len]. Each
+    pass reopens the file and reads it in blocks of _BLOCK characters, so it
+    holds one block's lines whatever the file's size, and the object can be
+    iterated any number of times. Lines end at LF, CRLF or a lone CR. A pass
+    that keeps nothing raises EmptyCorpusError at its end; kept and
+    rejected_count tally the last pass that finished.
+    """
+
+    def __init__(self, path, alphabet: Alphabet | None = None,
+                 min_len: int = DEFAULT_MIN_LENGTH, max_len: int = DEFAULT_MAX_LENGTH):
+        if min_len < 1 or max_len < min_len:
+            raise ValueError(f"bad length bounds [{min_len}, {max_len}]")
+        self.path = path
+        self.alphabet = alphabet if alphabet is not None else Alphabet.default()
+        self.min_len = min_len
+        self.max_len = max_len
+        self.kept = 0
+        self.rejected_count = 0
+
+    def __iter__(self):
+        lo, hi, accepts = self.min_len, self.max_len, self.alphabet.accepts
+        kept = rejected = 0
+        tail = ""
+        with read_text(self.path) as fh:
+            while True:
+                block = fh.read(_BLOCK)
+                if not block:
+                    if not tail:
+                        break
+                    block = "\n"  # ends a last line that has no newline
+                # text mode has already turned "\r\n" and "\r" into "\n"
+                lines = (tail + block).split("\n")
+                # the last piece goes on in the next block; past max_len
+                # characters only its length matters, so that much is kept
+                tail = lines.pop()[: hi + 1]
+                good = [pwd for pwd in lines if lo <= len(pwd) <= hi and accepts(pwd)]
+                kept += len(good)
+                rejected += len(lines) - len(good)
+                yield from good
+        self.kept, self.rejected_count = kept, rejected
+        if not kept:
+            raise EmptyCorpusError(f"no usable passwords in {self.path} (rejected {rejected})")
+
+
 def load_passwords(
     path,
     alphabet: Alphabet | None = None,
     min_len: int = DEFAULT_MIN_LENGTH,
     max_len: int = DEFAULT_MAX_LENGTH,
 ) -> Corpus:
-    """Read a newline-delimited UTF-8 password file, filtering as we go.
+    """Read a password file into a Corpus: one pass of PasswordFile, collected.
 
-    Keeps exactly the lines whose characters all belong to the alphabet and
-    whose length lies in [min_len, max_len]; everything else increments
-    rejected_count. Order is preserved. Raises EmptyCorpusError if nothing
-    survives.
+    Order is preserved and rejected lines are counted in rejected_count.
+    Raises EmptyCorpusError if nothing survives.
     """
-    if alphabet is None:
-        alphabet = Alphabet.default()
-    if min_len < 1 or max_len < min_len:
-        raise ValueError(f"bad length bounds [{min_len}, {max_len}]")
-
-    kept: list[str] = []
-    rejected = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            pwd = line.rstrip("\r\n")
-            if min_len <= len(pwd) <= max_len and alphabet.accepts(pwd):
-                kept.append(pwd)
-            else:
-                rejected += 1
-    if not kept:
-        raise EmptyCorpusError(f"no usable passwords in {path} (rejected {rejected})")
-    return Corpus(kept, rejected)
+    passwords = PasswordFile(path, alphabet, min_len, max_len)
+    return Corpus(list(passwords), passwords.rejected_count)
 
 
 def split(corpus: Corpus, train_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
@@ -202,7 +248,7 @@ def load_hints(path) -> list[HintRecord]:
     Any violation raises HintParseError naming the 1-based line number.
     """
     records: list[HintRecord] = []
-    with open(path, encoding="utf-8") as fh:
+    with read_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -147,9 +147,22 @@ def _count_dp(tabs: _Tables, layer: np.ndarray) -> np.ndarray:
         if lo == hi:
             continue
         rows = np.flatnonzero(bounds[1:] != bounds[:-1])
-        gathered = layer[:width - level, succ_next[lo:hi]]
-        sums = merge.reduceat(gathered, bounds[rows] - lo, axis=1)
-        out[level:, rows] = merge(out[level:, rows], sums)
+        first = bounds[rows]
+        # gather a slice of whole blocks at a time, so that no gather holds
+        # more than the width * C cells of one layer: a slice takes the
+        # blocks that start within one stretch of cap - a entries, a the
+        # longest block, so it spans under cap entries (a block longer than
+        # cap is a slice of its own)
+        cap = C * width // (width - level)
+        cuts = []
+        if hi - lo > cap:
+            piece = max(cap - int(np.diff(bounds).max()), 1)
+            cuts = (np.flatnonzero(np.diff((first - lo) // piece)) + 1).tolist()
+        for a, b in zip([0, *cuts], [*cuts, len(rows)]):
+            s_lo, s_hi = int(first[a]), int(first[b]) if b < len(rows) else hi
+            gathered = layer[:width - level, succ_next[s_lo:s_hi]]
+            sums = merge.reduceat(gathered, first[a:b] - s_lo, axis=1)
+            out[level:, rows[a:b]] = merge(out[level:, rows[a:b]], sums)
     return out
 
 

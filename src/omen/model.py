@@ -37,6 +37,9 @@ _MAX_TABLE_CELLS = 200_000_000
 # passwords per gram-counting chunk; training's temporaries scale with this
 _CHUNK = 1 << 12
 
+# table entries per step of the in-place float conversion and discretization
+_BLOCK = 1 << 16
+
 
 def calibrate(p_max: float, L: int) -> tuple[float, float]:
     """Choose (c1, c2) so that discretize(p_max) = 0 and discretize(0) = -(L-1)."""
@@ -60,7 +63,7 @@ def discretize(prob: float, c1: float, c2: float) -> int:
 
 
 def _discretize_array(prob: np.ndarray, c1: float, c2: float, min_level: int) -> np.ndarray:
-    # every step writes one float buffer, so the peak is prob plus one copy
+    # every step writes one float buffer the size of prob
     lvl = np.multiply(prob, c1)
     lvl += c2
     np.log(lvl, out=lvl)
@@ -71,7 +74,7 @@ def _discretize_array(prob: np.ndarray, c1: float, c2: float, min_level: int) ->
 
 def _encode_concat(alphabet: Alphabet, passwords) -> tuple[np.ndarray, np.ndarray]:
     """Encode a batch of strings into one flat rank array plus lengths."""
-    lengths = np.fromiter((len(p) for p in passwords), dtype=np.int64, count=len(passwords))
+    lengths = np.fromiter(map(len, passwords), dtype=np.int64, count=len(passwords))
     return alphabet.encode("".join(passwords)), lengths
 
 
@@ -131,9 +134,11 @@ def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
     entry is that short there is nothing to anchor a guess on and training
     fails.
 
-    The corpus is iterated once, in fixed-size chunks of passwords whose
-    grams are added to exact integer counts. Beyond what the caller holds
-    and the tables themselves, memory does not grow with the corpus.
+    The corpus (any iterable of strings, such as a PasswordFile) is iterated
+    once, in fixed-size chunks of passwords whose grams are added to exact
+    integer counts. The counts then turn into the probabilities in place and
+    the levels are filled a block at a time, so beyond the tables themselves
+    memory does not grow with the corpus.
     """
     if alphabet is None:
         alphabet = Alphabet.default()
@@ -156,23 +161,18 @@ def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
     empty = True
     while chunk := list(islice(passwords, _CHUNK)):
         empty = False
-        usable = [p for p in chunk if len(p) >= n1]
-        if usable:
-            _count_chunk(alphabet, n, usable, init_counts, cond_counts)
+        _count_chunk(alphabet, n, chunk, init_counts, cond_counts)
     if empty:
         raise TrainingError("empty corpus")
     if not init_counts.any():
         raise TrainingError(f"no entry has the {n1} characters needed for an initial gram")
 
-    # the counts become the probabilities in place: one float copy each,
-    # whose totals are taken before delta is added
-    init_prob = init_counts.astype(np.float64)
-    del init_counts
+    # totals are taken before delta is added
+    init_prob = _as_float(init_counts)
     total = init_prob.sum() + delta * C
     init_prob += delta
     init_prob /= total
-    cond_prob = cond_counts.astype(np.float64).reshape(C, sigma)
-    del cond_counts
+    cond_prob = _as_float(cond_counts).reshape(C, sigma)
     totals = cond_prob.sum(axis=1, keepdims=True) + delta * sigma
     cond_prob += delta
     cond_prob /= totals
@@ -181,16 +181,32 @@ def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
     c1i, c2 = calibrate(float(init_prob.max()), L)
     c1c, _ = calibrate(float(cond_prob.max()), L)
     init_level = _discretize_array(init_prob, c1i, c2, min_level)
-    cond_level = _discretize_array(cond_prob, c1c, c2, min_level)
+    cond_level = np.empty(C * sigma, dtype=np.int8)
+    flat = cond_prob.reshape(-1)
+    for lo in range(0, flat.size, _BLOCK):
+        cond_level[lo:lo + _BLOCK] = _discretize_array(flat[lo:lo + _BLOCK], c1c, c2, min_level)
     return NgramModel(alphabet, n, L, init_prob, cond_prob, init_level, cond_level)
+
+
+def _as_float(counts: np.ndarray) -> np.ndarray:
+    """The int64 counts as float64 in the same buffer, converted a block at a
+    time so that no full-size copy exists."""
+    values = counts.view(np.float64)
+    for lo in range(0, counts.size, _BLOCK):
+        values[lo:lo + _BLOCK] = counts[lo:lo + _BLOCK]
+    return values
 
 
 def _count_chunk(alphabet: Alphabet, n: int, passwords: list[str],
                  init_counts: np.ndarray, cond_counts: np.ndarray) -> None:
-    """Add the grams of passwords (each at least n-1 long) to the counts in place."""
+    """Add the grams of passwords to the counts in place; a password shorter
+    than n-1 characters has none."""
     sigma = alphabet.size
     n1 = n - 1
     flat, lengths = _encode_concat(alphabet, passwords)
+    usable = lengths >= n1
+    if not usable.any():
+        return
     # ctx[i]: rank of the (n-1)-gram starting at flat[i]
     ctx = flat[: flat.size - n1 + 1].copy()
     for j in range(1, n1):
@@ -199,7 +215,7 @@ def _count_chunk(alphabet: Alphabet, n: int, passwords: list[str],
     starts = np.zeros(len(passwords), dtype=np.int64)
     np.cumsum(lengths[:-1], out=starts[1:])
     # add.at costs O(chunk); a bincount would build a whole table per chunk
-    np.add.at(init_counts, ctx[starts], 1)
+    np.add.at(init_counts, ctx[starts[usable]], 1)
 
     # the n-gram at i is ctx[i] followed by flat[i + n-1]; keep those inside one password
     pid = np.repeat(np.arange(len(passwords), dtype=np.int64), lengths)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,66 @@ def test_train_non_finite_delta_exit_1(workdir, capsys, caplog):
         assert "smoothing delta must be finite" in caplog.text, delta
         assert not (workdir["root"] / "m4").exists(), delta
     capsys.readouterr()
+
+
+def test_train_logs_the_tallies_of_its_one_pass(tmp_path, caplog):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"abc\r\nab\rpassword\n\nbad char\nzzz")
+    out = tmp_path / "model.bin"
+    with caplog.at_level("INFO", logger="omen"):
+        assert main(["train", "--input", str(corpus), "--out", str(out)]) == 0
+    assert "loaded 3 passwords (3 rejected)" in caplog.text
+    assert out.exists()
+
+
+def test_train_with_nothing_usable_exits_2_and_writes_nothing(tmp_path, caplog):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("ab\nbad char\n")
+    out = tmp_path / "model.bin"
+    assert main(["train", "--input", str(corpus), "--out", str(out), "--quiet"]) == 2
+    assert f"no usable passwords in {corpus} (rejected 2)" in caplog.text
+    assert not out.exists()
+
+
+def test_train_on_bytes_that_are_not_utf8_exits_2_and_writes_nothing(tmp_path, caplog):
+    corpus = tmp_path / "corpus.txt"
+    # the bad byte comes after a whole chunk of good lines, mid-stream
+    corpus.write_bytes(b"password\n" * 20_000 + b"pass\xffword\n")
+    out = tmp_path / "model.bin"
+    assert main(["train", "--input", str(corpus), "--out", str(out), "--quiet"]) == 2
+    assert f"{corpus}: not UTF-8" in caplog.text
+    assert not out.exists()
+
+
+def test_train_with_an_alphabet_file_that_is_not_utf8_exits_2(workdir, tmp_path, caplog):
+    alphabet = tmp_path / "alphabet.txt"
+    alphabet.write_bytes(b"abc\xff\n")
+    out = tmp_path / "model.bin"
+    assert main(["train", "--input", str(workdir["corpus"]), "--alphabet", str(alphabet),
+                 "--out", str(out), "--quiet"]) == 2
+    assert f"{alphabet}: not UTF-8" in caplog.text
+    assert not out.exists()
+
+
+def test_train_memory_does_not_grow_with_the_corpus(tmp_path):
+    # the file is streamed through training: 4x the lines, the same peak
+    words = synth.markov_words(17, omen.Alphabet.default(), 80_000)
+
+    def peak(lines):
+        corpus = tmp_path / f"corpus{lines}.txt"
+        corpus.write_text("\n".join(words[:lines]) + "\n")
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            assert main(["train", "--input", str(corpus), "--out", str(tmp_path / "m.bin"),
+                         "--quiet"]) == 0
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20_000), peak(80_000)
+    assert large <= small + 512 * 1024, (small, large)
 
 
 def test_train_is_deterministic(workdir):
@@ -186,6 +247,16 @@ def test_eval_reruns_identically(workdir):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_crack_on_a_test_set_that_is_not_utf8_exits_2(workdir, tmp_path, capsys, caplog):
+    test = tmp_path / "test.txt"
+    test.write_bytes(b"abc\n\xc3(\n")
+    rc = main(["crack", "--model", str(workdir["model"]), "--test", str(test),
+               "--budget", "10", "--quiet"])
+    assert rc == 2
+    assert f"{test}: not UTF-8" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 def test_crack_bad_checkpoints_exit_1(workdir, capsys, caplog):
@@ -342,6 +413,16 @@ def test_alpha_reports_boost(workdir, capsys):
     import math
 
     assert int(blevel) == min(9, max(0, round(math.log(float(alpha)))))
+
+
+def test_alpha_on_hints_that_are_not_utf8_exit_2(workdir, tmp_path, capsys, caplog):
+    hints = tmp_path / "hints.jsonl"
+    hints.write_bytes(b'{"password": "x\xff", "attributes": {}}\n')
+    rc = main(["alpha", "--model", str(workdir["model"]), "--hints", str(hints),
+               "--attribute", "firstName", "--quiet"])
+    assert rc == 2
+    assert f"{hints}: not UTF-8" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 def test_alpha_bad_grid_exit_1(workdir, capsys, caplog):

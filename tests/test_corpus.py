@@ -3,15 +3,18 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import omen.corpus
 from omen import (
     Alphabet,
     Corpus,
     EmptyCorpusError,
     HintParseError,
     HintRecord,
+    OmenError,
+    PasswordFile,
     load_hints,
     load_passwords,
     save_hints,
@@ -122,6 +125,86 @@ def test_load_passwords_empty_raises(tmp_path):
     p.write_text("!!\n@@\n")
     with pytest.raises(EmptyCorpusError):
         load_passwords(p, alphabet=Alphabet("abc"))
+
+
+def _filter_per_line(path, alphabet, min_len, max_len):
+    """The filter as a plain loop over the file's lines: (kept, rejected)."""
+    kept, rejected = [], 0
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            pwd = line.rstrip("\r\n")
+            if min_len <= len(pwd) <= max_len and alphabet.accepts(pwd):
+                kept.append(pwd)
+            else:
+                rejected += 1
+    return kept, rejected
+
+
+_LINE_CHARS = st.one_of(
+    st.sampled_from("ab\U0001d11e"),  # the alphabet, one character beyond the BMP
+    # foreign; str.splitlines would end a line at \x85, \u2028 and \x0c, a file does not
+    st.sampled_from("z\U0001f600\x85\u2028\x0c\t "),
+    st.characters(exclude_characters="\r\n"),
+)
+
+
+@given(
+    lines=st.lists(st.text(_LINE_CHARS, max_size=12), max_size=20),
+    breaks=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=20, max_size=20),
+    final_break=st.booleans(),
+    block=st.integers(1, 7),
+    bounds=st.sampled_from([(1, 3), (3, 20), (2, 9)]),
+)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_password_file_keeps_what_a_per_line_filter_keeps(
+        tmp_path, monkeypatch, lines, breaks, final_break, block, bounds):
+    # blocks of a few characters split lines, and CRLF pairs, across reads
+    alphabet = Alphabet("ab\U0001d11e")
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    if lines and not final_break:
+        text = text[: -len(breaks[len(lines) - 1])]
+    path = tmp_path / "pwds.txt"
+    path.write_bytes(text.encode("utf-8"))
+    kept, rejected = _filter_per_line(path, alphabet, *bounds)
+    with monkeypatch.context() as patch:
+        patch.setattr(omen.corpus, "_BLOCK", block)
+        passwords = PasswordFile(path, alphabet, *bounds)
+        if kept:
+            assert list(passwords) == kept
+            assert (passwords.kept, passwords.rejected_count) == (len(kept), rejected)
+        else:
+            with pytest.raises(EmptyCorpusError, match=f"rejected {rejected}\\)"):
+                list(passwords)
+
+
+def test_password_file_streams_every_pass_again(tmp_path):
+    p = tmp_path / "pwds.txt"
+    p.write_text("abc\nab\npassword\n")
+    passwords = PasswordFile(p)
+    assert list(passwords) == list(passwords) == ["abc", "password"]
+    assert (passwords.kept, passwords.rejected_count) == (2, 1)
+    p.write_text("zzz\n")
+    assert list(passwords) == ["zzz"]
+    assert (passwords.kept, passwords.rejected_count) == (1, 0)
+
+
+def test_a_long_line_is_held_only_up_to_max_len(tmp_path, monkeypatch):
+    monkeypatch.setattr(omen.corpus, "_BLOCK", 4)
+    p = tmp_path / "pwds.txt"
+    p.write_text("abcd\n" + "x" * 10_000 + "\nabcde")
+    passwords = PasswordFile(p, min_len=4, max_len=5)
+    assert list(passwords) == ["abcd", "abcde"]
+    assert passwords.rejected_count == 1
+
+
+@pytest.mark.parametrize("read", [load_passwords, load_hints, Alphabet.from_file,
+                                  lambda path: list(PasswordFile(path))])
+def test_bytes_that_are_not_utf8_are_a_data_error_naming_the_file(tmp_path, read):
+    p = tmp_path / "data.txt"
+    p.write_bytes(b"abc\n\xffabc\n")
+    with pytest.raises(OmenError, match=re.escape(f"{p}: not UTF-8")):
+        read(p)
 
 
 def test_split_is_a_partition():

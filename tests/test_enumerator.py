@@ -403,18 +403,18 @@ def test_counting_stays_below_one_context_layer():
     # 300 words leave most of the 8000 contexts of an n=4 model over 20
     # characters unseen. The class map and graph are built once per model,
     # by the first count; a cell's own temporaries are what must not grow
-    # with width * C.
+    # with width * C, at any width 1 - eta.
     alphabet = synth.make_alphabet(20)
     model = train(synth.markov_words(5, alphabet, 300), alphabet, n=4)
     count_guesses(model, 0, 8)
-    eta = -4
-    tracemalloc.start()
-    try:
-        assert count_guesses(model, eta, 8) > 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < (1 - eta) * alphabet.size ** 3 * np.dtype(np.int64).itemsize
+    for eta in (-4, -8, -10):
+        tracemalloc.start()
+        try:
+            assert count_guesses(model, eta, 8) > 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (1 - eta) * alphabet.size ** 3 * np.dtype(np.int64).itemsize, eta
 
 
 def test_walk_stays_below_one_transition_table():
