@@ -9,8 +9,11 @@ The strings of a vector come from NumPy frontiers, one per vector prefix:
 the frontier at depth d holds, in character order, every prefix whose first
 d levels match the vector and that can still reach eta. Reachability comes
 from the same backward dynamic program that counts a cell (_count_dp), so a
-vector whose prefix has no live string costs O(1), and live prefixes are
-extended a whole frontier at a time.
+vector whose prefix has no live string makes no strings, and live prefixes
+are extended a whole frontier at a time. The odometer still forms every
+vector of the cell, live or not, so a cell's cost grows with its vectors:
+(20, -8) of a 72-character model forms 1.56M vectors for no string
+(ROADMAP item 2 drives the vectors from the frontier instead).
 
 That program runs over classes of contexts, not over all |alphabet|**(n-1)
 contexts. A transition leads to a context that depends only on the last n-2
@@ -50,9 +53,10 @@ class _Tables(NamedTuple):
     (the character is the context modulo |alphabet|), which are the same
     for every member of the class, and succ_next the classes of those
     contexts.
-    init_grams: initial-gram ranks grouped by negated level, rank-ascending
-    within a group; init_start[v] slices the group for level v, and
-    init_cls holds each gram's class.
+    init_grams/init_cls/init_start: the same CSR over a table of one row,
+    the root, whose sigma**(n-1) transitions are the initial grams: block
+    v (= level v) lists the initial-gram ranks at level v in ascending
+    order, and init_cls holds each gram's class.
     """
 
     size: int
@@ -118,10 +122,7 @@ def _tables(model) -> _Tables:
     pos, succ_start = _level_csr(-model.cond_level[rep], L)
     row, z = np.divmod(pos, sigma)
     succ_ctx = rep[row] % S * sigma + z
-    init_neg = -model.init_level
-    init_grams = np.argsort(init_neg, kind="stable").astype(index)
-    init_start = np.zeros(L + 1, dtype=np.int64)
-    np.cumsum(np.bincount(init_neg, minlength=L), out=init_start[1:])
+    init_grams, init_start = _level_csr(-model.init_level[None, :], L)
     tabs = _Tables(len(rep), of, succ_ctx, of[succ_ctx], succ_start,
                    init_grams, of[init_grams], init_start)
     model._enum_tables = tabs
@@ -280,13 +281,17 @@ def _generate(model, eta, ell, k):
 class _Walk:
     """Frontiers of one cell, one chunk of at most batch_size per depth.
 
-    Depth 1 holds initial grams, depth d > 1 the prefixes after d - 1
-    transitions, depth k full strings. Each entry is a context, its class and
-    the index of its parent in the chunk one depth up, so a string is read
-    back by following parents. A chunk is generated from the chunk above, as
-    a range of its candidate children (the parents' CSR blocks at the
-    vector's level for that depth, concatenated), and keeps only children
-    from whose class the rest of the level budget is still reachable.
+    Depth 0 holds one entry, the root, depth 1 initial grams, depth d > 1
+    the prefixes after d - 1 transitions, depth k full strings. Each entry
+    is a context, its class and the index of its parent in the chunk one
+    depth up, so a string is read back by following parents. A chunk is
+    generated from the chunk above, as a range of its candidate children
+    (the parents' CSR blocks at the vector's level for that depth,
+    concatenated), and keeps only children from whose class the rest of the
+    level budget is still reachable. The root's row is the initial-gram CSR
+    of _Tables and every other depth's the class CSR, so every depth takes
+    the same path. A chunk of full strings is cut to the room left in the
+    output batch and written whole.
 
     Chunks that hold a whole frontier (depths 1..full) stay valid for the
     next vector as far as it shares the current vector's prefix. When a whole
@@ -295,16 +300,21 @@ class _Walk:
     """
 
     def __init__(self, model, tabs: _Tables, budget: int, k: int, batch_size: int):
-        self.tabs = tabs
         self.sigma = model.alphabet.size
         self.n1 = model.n - 1
         self.k = k
         self.batch = batch_size
         self.can = _reach(model, k - 1, budget + 1)
+        # per depth: the CSR its chunk's children come from, as (start,
+        # contexts, classes, row width)
+        root = (tabs.init_start, tabs.init_grams, tabs.init_cls, 1)
+        step = (tabs.succ_start, tabs.succ_ctx, tabs.succ_next, tabs.size)
+        self.csr = [root] + [step] * (k - 1)
         self.levels: list[int] = []
         self.rem = [budget] * (k + 1)  # level budget left after depth d
         self.ctx: list[np.ndarray | None] = [None] * (k + 1)
         self.cls: list[np.ndarray | None] = [None] * (k + 1)
+        self.cls[0] = np.zeros(1, dtype=np.intp)  # the root is the one row of its table
         self.par: list[np.ndarray | None] = [None] * (k + 1)
         # children of depth d's chunk: per parent the CSR offset, count and
         # cumulative count; the total, the next candidate, and the children
@@ -315,7 +325,6 @@ class _Walk:
         self.total = [0] * k
         self.pos = [0] * k
         self.kept = [0] * k
-        self.emitted = 0
         self.full = 0
         self.top = -1
         self.dead = 0
@@ -339,17 +348,10 @@ class _Walk:
 
     def _children(self, depth: int) -> None:
         """Set up the candidate children of depth's chunk at the vector's level."""
-        level = self.levels[depth]
+        start, _, _, width = self.csr[depth]
         self.pos[depth] = 0
         self.kept[depth] = 0
-        tabs = self.tabs
-        if depth == 0:
-            lo, hi = tabs.init_start[level], tabs.init_start[level + 1]
-            self.offset[0] = lo
-            self.total[0] = int(hi - lo)
-            return
-        start = tabs.succ_start
-        block = self.cls[depth] + level * tabs.size
+        block = self.cls[depth] + self.levels[depth] * width
         first = start[block]
         counts = start[block + 1] - first
         cum = np.cumsum(counts)
@@ -358,37 +360,31 @@ class _Walk:
         self.offset[depth] = first - (cum - counts)
         self.total[depth] = int(cum[-1])
 
-    def chunk(self, depth: int) -> bool:
-        """Generate depth + 1's next chunk; False when it kept nothing."""
+    def chunk(self, depth: int, size: int) -> bool:
+        """Generate depth + 1's next chunk of at most size candidates; False
+        when it kept nothing."""
         q0 = self.pos[depth]
-        q1 = min(q0 + self.batch, self.total[depth])
+        q1 = min(q0 + size, self.total[depth])
         self.pos[depth] = q1
         whole = q0 == 0 and q1 == self.total[depth]
-        tabs = self.tabs
-        if depth == 0:
-            lo = self.offset[0]
-            nxt = tabs.init_grams[lo + q0:lo + q1]
-            cls = tabs.init_cls[lo + q0:lo + q1]
-            par = None
-        else:
-            # parents p0..p1 hold candidates q0..q1-1; clip the two ends
-            cum, counts = self.cum[depth], self.counts[depth]
-            p0 = bisect_right(cum, q0)
-            p1 = bisect_left(cum, q1)
-            take = counts[p0:p1 + 1].copy()
-            take[0] -= q0 - (cum[p0] - counts[p0])
-            take[-1] -= cum[p1] - q1
-            par = np.repeat(np.arange(p0, p1 + 1), take)
-            at = np.arange(q0, q1) + self.offset[depth][par]
-            nxt = tabs.succ_ctx[at]
-            cls = tabs.succ_next[at]
+        _, succ_ctx, succ_cls, _ = self.csr[depth]
+        # parents p0..p1 hold candidates q0..q1-1; clip the two ends
+        cum, counts = self.cum[depth], self.counts[depth]
+        p0 = bisect_right(cum, q0)
+        p1 = bisect_left(cum, q1)
+        take = counts[p0:p1 + 1].copy()
+        take[0] -= q0 - (cum[p0] - counts[p0])
+        take[-1] -= cum[p1] - q1
+        par = np.repeat(np.arange(p0, p1 + 1), take)
+        at = np.arange(q0, q1) + self.offset[depth][par]
+        nxt = succ_ctx[at]
+        cls = succ_cls[at]
         left = self.k - 1 - depth
         if left:
             keep = self.can[left][self.rem[depth + 1]][cls]
             nxt = nxt[keep]
             cls = cls[keep]
-            if par is not None:
-                par = par[keep]
+            par = par[keep]
         self.full = min(self.full, depth)
         if not nxt.shape[0]:
             return False
@@ -400,15 +396,15 @@ class _Walk:
             self.full = depth + 1
         if depth + 1 < self.k:
             self._children(depth + 1)
-        else:
-            self.emitted = 0
         return True
 
-    def write(self, out: np.ndarray, m: int, count: int) -> None:
-        """Write leaves emitted..emitted+count as character ranks into out[m:]."""
+    def write(self, out: np.ndarray, m: int) -> int:
+        """Write the chunk of full strings as character ranks into out[m:];
+        returns its size."""
+        count = self.ctx[self.k].shape[0]
         rows = out[m:m + count]
         sigma = self.sigma
-        idx = np.arange(self.emitted, self.emitted + count)
+        idx = slice(None)
         col = self.n1 + self.k - 2
         for d in range(self.k, 1, -1):
             rows[:, col] = self.ctx[d][idx] % sigma
@@ -418,7 +414,7 @@ class _Walk:
         for col in range(self.n1 - 1, -1, -1):
             rows[:, col] = gram % sigma
             gram = gram // sigma
-        self.emitted += count
+        return count
 
 
 def _enum_fill(walk: _Walk, out: np.ndarray, m: int) -> int:
@@ -426,25 +422,23 @@ def _enum_fill(walk: _Walk, out: np.ndarray, m: int) -> int:
 
     Depth-first over chunks: a chunk's subtree is finished before the next
     chunk of the same depth is made, so rows come out in character order.
-    Stops when out is full or the vector is exhausted, and returns the
-    number of rows written; the walk resumes where it stopped.
+    The last depth keeps every candidate, so its chunk is cut to the room
+    left in out and written there whole. Stops when out is full or the
+    vector is exhausted, and returns the number of rows written; the walk
+    resumes where it stopped.
     """
     k = walk.k
     cap = out.shape[0]
     first = m
     depth = walk.top
-    while depth >= 0:
-        if depth == k:
-            count = min(walk.ctx[k].shape[0] - walk.emitted, cap - m)
-            if count:
-                walk.write(out, m, count)
-                m += count
-            if walk.emitted < walk.ctx[k].shape[0]:
-                break
-            depth -= 1
-        elif walk.pos[depth] < walk.total[depth]:
-            if walk.chunk(depth):
-                depth += 1
+    while depth >= 0 and m < cap:
+        if walk.pos[depth] < walk.total[depth]:
+            if depth + 1 < k:
+                if walk.chunk(depth, walk.batch):
+                    depth += 1
+            else:
+                walk.chunk(depth, cap - m)
+                m += walk.write(out, m)
         else:
             if not walk.kept[depth] and depth <= walk.full:
                 walk.dead = depth + 1

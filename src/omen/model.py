@@ -72,6 +72,17 @@ def _discretize_array(prob: np.ndarray, c1: float, c2: float, min_level: int) ->
     return lvl.astype(np.int8)
 
 
+def _contexts(sigma: int, n: int) -> int:
+    """Rows of the dense tables, sigma**(n-1); ValueError when their
+    sigma**n cells exceed _MAX_TABLE_CELLS. sigma >= 2, so an order of at
+    least the cap's bit length is over it, and is refused before any power
+    of sigma is formed."""
+    if n >= _MAX_TABLE_CELLS.bit_length() or sigma**n > _MAX_TABLE_CELLS:
+        raise ValueError(f"dense tables over {sigma} characters at n={n} would exceed "
+                         f"{_MAX_TABLE_CELLS} cells; lower n or shrink the alphabet")
+    return sigma ** (n - 1)
+
+
 def _encode_concat(alphabet: Alphabet, passwords) -> tuple[np.ndarray, np.ndarray]:
     """Encode a batch of strings into one flat rank array plus lengths."""
     lengths = np.fromiter(map(len, passwords), dtype=np.int64, count=len(passwords))
@@ -99,7 +110,7 @@ class NgramModel:
         self.alphabet = alphabet
         self.n = n
         self.L = L
-        C = alphabet.size ** (n - 1)
+        C = _contexts(alphabet.size, n)
         sigma = alphabet.size
         self.init_prob = np.ascontiguousarray(init_prob, dtype=np.float64).reshape(C)
         self.cond_prob = np.ascontiguousarray(cond_prob, dtype=np.float64).reshape(C, sigma)
@@ -151,9 +162,7 @@ def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
 
     sigma = alphabet.size
     n1 = n - 1
-    C = sigma**n1
-    if C * sigma > _MAX_TABLE_CELLS:
-        raise ValueError(f"dense tables would need {C * sigma} cells; lower n or shrink the alphabet")
+    C = _contexts(sigma, n)
 
     init_counts = np.zeros(C, dtype=np.int64)
     cond_counts = np.zeros(C * sigma, dtype=np.int64)
@@ -308,9 +317,10 @@ def load_model(path) -> NgramModel:
         raise ModelFormatError(f"bad alphabet: {exc}") from None
     off += alen
     sigma = alphabet.size
-    if sigma ** (n - 1) * sigma > _MAX_TABLE_CELLS:
-        raise ModelFormatError("declared tables implausibly large")
-    C = sigma ** (n - 1)
+    try:
+        C = _contexts(sigma, n)
+    except ValueError as exc:
+        raise ModelFormatError(f"declared tables implausibly large: {exc}") from None
     expect = off + 8 * C + 8 * C * sigma + C + C * sigma
     if len(blob) != expect:
         raise ModelFormatError(f"file is {len(blob)} bytes, layout requires {expect}")
@@ -324,7 +334,11 @@ def load_model(path) -> NgramModel:
     for levels in (init_level, cond_level):
         if levels.min() < -(L - 1) or levels.max() > 0:
             raise ModelFormatError("levels outside [-(L-1), 0]")
-    if init_prob.max() <= 0 or cond_prob.max() <= 0:
-        raise ModelFormatError("probability table has no positive entry")
+    for prob in (init_prob, cond_prob):
+        lo, hi = prob.min(), prob.max()
+        if not 0 <= lo <= hi <= 1:  # a NaN fails every comparison
+            raise ModelFormatError("probabilities outside [0, 1]")
+        if hi <= 0:
+            raise ModelFormatError("probability table has no positive entry")
     return NgramModel(alphabet, n, L, init_prob, cond_prob, init_level, cond_level,
                       validate=False)

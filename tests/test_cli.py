@@ -75,6 +75,16 @@ def test_train_bad_parameters_exit_1(workdir):
     assert rc == 1
 
 
+def test_train_refuses_an_order_over_the_table_cap(workdir, capsys, caplog):
+    out = workdir["root"] / "m5"
+    rc = main(["train", "--input", str(workdir["corpus"]), "--out", str(out),
+               "-n", "5000", "--quiet"])
+    assert rc == 1
+    assert "exceed 200000000 cells" in caplog.text
+    assert not out.exists()
+    capsys.readouterr()
+
+
 def test_train_non_finite_delta_exit_1(workdir, capsys, caplog):
     # refused before any division: pytest turns a NumPy RuntimeWarning into an error
     for delta in ("inf", "nan"):

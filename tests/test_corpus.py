@@ -144,7 +144,8 @@ _LINE_CHARS = st.one_of(
     st.sampled_from("ab\U0001d11e"),  # the alphabet, one character beyond the BMP
     # foreign; str.splitlines would end a line at \x85, \u2028 and \x0c, a file does not
     st.sampled_from("z\U0001f600\x85\u2028\x0c\t "),
-    st.characters(exclude_characters="\r\n"),
+    # a lone surrogate has no UTF-8 encoding, so no file can hold one
+    st.characters(exclude_characters="\r\n", exclude_categories=("Cs",)),
 )
 
 

@@ -255,6 +255,7 @@ def brute_cell(model, eta: int, ell: int) -> list[tuple[tuple[int, ...], str]]:
 
 @pytest.mark.parametrize("seed,sigma,n,L,ell", [
     (31, 4, 2, 4, 6), (32, 3, 3, 5, 6), (33, 3, 4, 4, 6), (34, 4, 3, 10, 5),
+    (37, 3, 4, 10, 3), (39, 2, 5, 10, 4),
 ])
 def test_full_order_matches_brute_force_sort(seed, sigma, n, L, ell, monkeypatch):
     model = synth.random_model(seed, sigma=sigma, n=n, L=L)

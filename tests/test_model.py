@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -304,4 +305,31 @@ def test_load_rejects_out_of_range_levels(tmp_path):
     bad = tmp_path / "bad_levels"
     bad.write_bytes(bytes(blob))
     with pytest.raises(ModelFormatError):
+        load_model(bad)
+
+
+@pytest.mark.parametrize("table,index,value", [
+    ("cond", 0, math.nan), ("cond", 1, -5.0), ("init", 0, 1.5),
+])
+def test_load_rejects_probabilities_outside_the_unit_interval(tmp_path, table, index, value):
+    model = train(Corpus(["aab", "abb", "bba"]), alphabet=Alphabet("ab"), n=3)
+    good = tmp_path / "good"
+    save_model(model, good)
+    blob = good.read_bytes()
+    # header, alphabet "ab", then init_prob f64[4] and cond_prob f64[4, 2]
+    at = 20 + 2 + (8 * 4 if table == "cond" else 0) + 8 * index
+    bad = tmp_path / "bad_prob"
+    bad.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8:])
+    with pytest.raises(ModelFormatError, match=r"outside \[0, 1\]"):
+        load_model(bad)
+
+
+def test_load_refuses_an_absurd_order_before_sizing_its_tables(tmp_path):
+    model = train(Corpus(["aab", "abb", "bba"]), alphabet=Alphabet("abc"), n=3)
+    good = tmp_path / "good"
+    save_model(model, good)
+    blob = good.read_bytes()
+    bad = tmp_path / "huge_n"
+    bad.write_bytes(blob[:8] + struct.pack("<I", 2**32 - 1) + blob[12:])
+    with pytest.raises(ModelFormatError, match="200000000 cells"):
         load_model(bad)
