@@ -172,8 +172,9 @@ def _raised_levels(model, bonus: dict[str, int]) -> np.ndarray:
 
 
 def _with_conditionals(model, cond_prob: np.ndarray, cond_level: np.ndarray) -> NgramModel:
-    """The model with its conditional tables replaced; boosted rows are only
-    approximately normalised, so they are not validated."""
+    """The model with its conditional tables replaced, unvalidated: a boosted
+    row sums to 1 - p_hat*(1 - alpha*p_hat), not 1, so load_model refuses
+    the file that save_model writes of it."""
     return NgramModel(model.alphabet, model.n, model.L, model.init_prob, cond_prob,
                       model.init_level, cond_level, validate=False)
 
@@ -183,10 +184,10 @@ def boost_conditionals(model, hint_grams, alpha: float) -> NgramModel:
 
     Other characters in a touched context are scaled by (1 - alpha*p_hat)
     where p_hat is the context's total boosted mass, leaving the row summing
-    to approximately 1. If alpha*p_hat reaches 1, boosted grams share the
-    whole row proportionally and the rest drop to 0. Levels of boosted grams
-    rise by round(ln alpha), clamped to 0. Untouched rows keep the base
-    model's values.
+    to 1 - p_hat*(1 - alpha*p_hat), the paper's formula. If alpha*p_hat
+    reaches 1, boosted grams share the whole row proportionally and the rest
+    drop to 0. Levels of boosted grams rise by round(ln alpha), clamped to
+    0. Untouched rows keep the base model's values.
     """
     _check_alpha(alpha)
     hint_grams = list(hint_grams)
@@ -293,8 +294,8 @@ def fit_guess_curve(model, sample_count: int = 10_000) -> float:
     against log(probability). The stream runs without feedback, so it
     drains the shortest length before the next: over 72 characters all
     10,000 sampled guesses have length 3, and over 20 characters 8,000 do
-    (ROADMAP item 6 gives the no-feedback stream a level prior). Falls
-    back to the default -1.5 (with a warning) when the sample is
+    (ROADMAP.md's OMEN+ item gives the no-feedback stream a level prior).
+    Falls back to the default -1.5 (with a warning) when the sample is
     degenerate.
     """
     if sample_count < 1000:

@@ -52,8 +52,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_checkpoints(text: str) -> list[int]:
     try:
-        cps = [int(float(part)) for part in text.split(",") if part.strip()]
-    except (ValueError, OverflowError):  # OverflowError: int() of inf
+        values = [float(part) for part in text.split(",") if part.strip()]
+        cps = [int(v) for v in values]  # OverflowError: int() of inf
+        if cps != values:  # a fraction would be truncated
+            raise ValueError
+    except (ValueError, OverflowError):
         raise ValueError(f"bad checkpoint list {text!r}") from None
     if not cps:
         raise ValueError("empty checkpoint list")

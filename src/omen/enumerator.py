@@ -13,7 +13,8 @@ vector whose prefix has no live string makes no strings, and live prefixes
 are extended a whole frontier at a time. The odometer still forms every
 vector of the cell, live or not, so a cell's cost grows with its vectors:
 (20, -8) of a 72-character model forms 1.56M vectors for no string
-(ROADMAP item 2 drives the vectors from the frontier instead).
+(ROADMAP.md's output-sensitive level vectors item drives the vectors from
+the frontier instead).
 
 That program runs over classes of contexts, not over all |alphabet|**(n-1)
 contexts. A transition leads to a context that depends only on the last n-2

@@ -72,11 +72,15 @@ def _discretize_array(prob: np.ndarray, c1: float, c2: float, min_level: int) ->
     return lvl.astype(np.int8)
 
 
-def _contexts(sigma: int, n: int) -> int:
-    """Rows of the dense tables, sigma**(n-1); ValueError when their
-    sigma**n cells exceed _MAX_TABLE_CELLS. sigma >= 2, so an order of at
-    least the cap's bit length is over it, and is refused before any power
-    of sigma is formed."""
+def _contexts(sigma: int, n: int, L: int) -> int:
+    """Rows of the dense tables, sigma**(n-1); ValueError unless n >= 2 and
+    2 <= L <= 128, or when the tables' sigma**n cells exceed
+    _MAX_TABLE_CELLS. sigma >= 2, so an order of at least the cap's bit
+    length is over it, and is refused before any power of sigma is formed."""
+    if n < 2:
+        raise ValueError(f"order must be >= 2, got {n}")
+    if not 2 <= L <= 128:
+        raise ValueError(f"level count must be in [2, 128], got {L}")
     if n >= _MAX_TABLE_CELLS.bit_length() or sigma**n > _MAX_TABLE_CELLS:
         raise ValueError(f"dense tables over {sigma} characters at n={n} would exceed "
                          f"{_MAX_TABLE_CELLS} cells; lower n or shrink the alphabet")
@@ -103,15 +107,11 @@ class NgramModel:
         cond_level: np.ndarray,
         validate: bool = True,
     ):
-        if n < 2:
-            raise ValueError(f"order must be >= 2, got {n}")
-        if not 2 <= L <= 128:
-            raise ValueError(f"level count must be in [2, 128], got {L}")
+        sigma = alphabet.size
+        C = _contexts(sigma, n, L)
         self.alphabet = alphabet
         self.n = n
         self.L = L
-        C = _contexts(alphabet.size, n)
-        sigma = alphabet.size
         self.init_prob = np.ascontiguousarray(init_prob, dtype=np.float64).reshape(C)
         self.cond_prob = np.ascontiguousarray(cond_prob, dtype=np.float64).reshape(C, sigma)
         self.init_level = np.ascontiguousarray(init_level, dtype=np.int8).reshape(C)
@@ -123,8 +123,12 @@ class NgramModel:
 
     def _check(self) -> None:
         L = self.L
+        for prob in (self.init_prob, self.cond_prob):
+            if not 0 <= prob.min() <= prob.max() <= 1:  # a NaN fails every comparison
+                raise ValueError("probabilities outside [0, 1]")
+        # min and max, not allclose: its temporaries would each be C floats
         row_sums = self.cond_prob.sum(axis=1)
-        if not np.allclose(row_sums, 1.0, atol=1e-9, rtol=0):
+        if not 1 - 1e-9 <= row_sums.min() <= row_sums.max() <= 1 + 1e-9:
             raise ValueError("conditional rows do not sum to 1")
         if abs(self.init_prob.sum() - 1.0) > 1e-9:
             raise ValueError("initial probabilities do not sum to 1")
@@ -153,16 +157,11 @@ def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
     """
     if alphabet is None:
         alphabet = Alphabet.default()
-    if n < 2:
-        raise ValueError(f"order must be >= 2, got {n}")
-    if not 2 <= L <= 128:
-        raise ValueError(f"level count must be in [2, 128], got {L}")
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"smoothing delta must be finite and > 0, got {delta}")
-
     sigma = alphabet.size
     n1 = n - 1
-    C = _contexts(sigma, n)
+    C = _contexts(sigma, n, L)
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"smoothing delta must be finite and > 0, got {delta}")
 
     init_counts = np.zeros(C, dtype=np.int64)
     cond_counts = np.zeros(C * sigma, dtype=np.int64)
@@ -295,7 +294,12 @@ def load_model(path) -> NgramModel:
     init_prob f64[C], cond_prob f64[C*sigma], init_level i8[C],
     cond_level i8[C*sigma], each C-ordered in gram rank order.
 
-    The smoothing delta is not stored.
+    The file is only parsed here; the model it holds must pass the same
+    checks as a trained one: n >= 2, L in [2, 128], probabilities in
+    [0, 1], every conditional row and the initial table summing to 1, and
+    levels in [-(L-1), 0] with a gram at level 0 in each table. Levels are
+    range-checked, not recomputed from the probabilities. A failed check
+    raises ModelFormatError. The smoothing delta is not stored.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -306,8 +310,6 @@ def load_model(path) -> NgramModel:
     version, n, L, alen = struct.unpack_from("<IIII", blob, 4)
     if version != _FORMAT_VERSION:
         raise ModelFormatError(f"unsupported format version {version}")
-    if n < 2 or not 2 <= L <= 128:
-        raise ModelFormatError(f"implausible parameters n={n}, L={L}")
     off = 20
     if len(blob) < off + alen:
         raise ModelFormatError("truncated alphabet")
@@ -318,27 +320,18 @@ def load_model(path) -> NgramModel:
     off += alen
     sigma = alphabet.size
     try:
-        C = _contexts(sigma, n)
+        C = _contexts(sigma, n, L)
     except ValueError as exc:
-        raise ModelFormatError(f"declared tables implausibly large: {exc}") from None
-    expect = off + 8 * C + 8 * C * sigma + C + C * sigma
+        raise ModelFormatError(f"implausible header: {exc}") from None
+    # f64 then i8 for the initial table and for the conditional table
+    expect = off + 9 * C * (1 + sigma)
     if len(blob) != expect:
         raise ModelFormatError(f"file is {len(blob)} bytes, layout requires {expect}")
-    init_prob = np.frombuffer(blob, dtype="<f8", count=C, offset=off)
-    off += 8 * C
-    cond_prob = np.frombuffer(blob, dtype="<f8", count=C * sigma, offset=off)
-    off += 8 * C * sigma
-    init_level = np.frombuffer(blob, dtype="i1", count=C, offset=off)
-    off += C
-    cond_level = np.frombuffer(blob, dtype="i1", count=C * sigma, offset=off)
-    for levels in (init_level, cond_level):
-        if levels.min() < -(L - 1) or levels.max() > 0:
-            raise ModelFormatError("levels outside [-(L-1), 0]")
-    for prob in (init_prob, cond_prob):
-        lo, hi = prob.min(), prob.max()
-        if not 0 <= lo <= hi <= 1:  # a NaN fails every comparison
-            raise ModelFormatError("probabilities outside [0, 1]")
-        if hi <= 0:
-            raise ModelFormatError("probability table has no positive entry")
-    return NgramModel(alphabet, n, L, init_prob, cond_prob, init_level, cond_level,
-                      validate=False)
+    tables = []
+    for dtype, count in (("<f8", C), ("<f8", C * sigma), ("i1", C), ("i1", C * sigma)):
+        tables.append(np.frombuffer(blob, dtype=dtype, count=count, offset=off))
+        off += tables[-1].nbytes
+    try:
+        return NgramModel(alphabet, n, L, *tables)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None

@@ -145,7 +145,15 @@ def cdf_similarity(records: list[HintRecord], attribute: str = MAX_ATTRIBUTE) ->
 
 def policy_check(username: str, password: str, min_edit_distance: int = 2,
                  js_threshold: float = 0.5) -> str:
-    """Verdict on a username/password pair: identical, too-similar, or ok."""
+    """Verdict on a username/password pair: identical, too-similar, or ok.
+
+    min_edit_distance must be >= 0 and js_threshold in [0, 1]; anything
+    else (a NaN among them) would switch a rule off or make it always fire,
+    so it is refused."""
+    if min_edit_distance < 0:
+        raise ValueError(f"min_edit_distance must be >= 0, got {min_edit_distance}")
+    if not 0 <= js_threshold <= 1:  # a NaN fails every comparison
+        raise ValueError(f"js_threshold must be in [0, 1], got {js_threshold}")
     u = username.lower()
     p = password.lower()
     if u == p:

@@ -271,7 +271,7 @@ def test_crack_on_a_test_set_that_is_not_utf8_exits_2(workdir, tmp_path, capsys,
 
 def test_crack_bad_checkpoints_exit_1(workdir, capsys, caplog):
     out = workdir["root"] / "never_written.csv"
-    for checkpoints in ("abc", "10,inf", "10,nan", "1e400"):
+    for checkpoints in ("abc", "10,inf", "10,nan", "1e400", "10,20.5"):
         for extra in ([], ["--out", str(out)]):
             cmd = "eval" if extra else "crack"
             caplog.clear()
@@ -508,6 +508,13 @@ def test_policy_check_cli(username, password, verdict, capsys):
     rc = main(["policy-check", "--username", username, "--password", password])
     assert rc == 0
     assert capsys.readouterr().out.strip() == verdict
+
+
+@pytest.mark.parametrize("option", [["--js-threshold", "nan"], ["--min-edit-distance", "-1"]])
+def test_policy_check_cli_bad_threshold_exits_1(option, capsys):
+    rc = main(["policy-check", "--username", "annmarie", "--password", "annmarie99", *option])
+    assert rc == 1
+    assert capsys.readouterr().out == ""
 
 
 # --- parser-level behaviour ----------------------------------------------------------

@@ -289,7 +289,12 @@ def test_load_rejects_corrupt_files(tmp_path):
     truncated.write_bytes(blob[:-8])
     version = tmp_path / "version"
     version.write_bytes(blob[:4] + b"\x63\x00\x00\x00" + blob[8:])
-    for path in (bad_magic, truncated, version):
+    # n is the u32 at offset 8, L the one at 12
+    headers = []
+    for name, at, value in (("n1", 8, 1), ("L1", 12, 1), ("L129", 12, 129)):
+        headers.append(tmp_path / name)
+        headers[-1].write_bytes(blob[:at] + struct.pack("<I", value) + blob[at + 4:])
+    for path in (bad_magic, truncated, version, *headers):
         with pytest.raises(ModelFormatError):
             load_model(path)
     with pytest.raises(OSError):
@@ -308,20 +313,34 @@ def test_load_rejects_out_of_range_levels(tmp_path):
         load_model(bad)
 
 
+def _rewritten(tmp_path, chars: str, table: str, index: int, value: float):
+    """A saved n=3 model over chars with one probability replaced by value."""
+    sigma = len(chars)
+    model = train(Corpus(["aab", "abb", "bba"]), alphabet=Alphabet(chars), n=3)
+    path = tmp_path / "model"
+    save_model(model, path)
+    blob = path.read_bytes()
+    # header, alphabet, then init_prob f64[sigma**2] and cond_prob f64[sigma**2, sigma]
+    at = 20 + sigma + (8 * sigma**2 if table == "cond" else 0) + 8 * index
+    path.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8:])
+    return path
+
+
 @pytest.mark.parametrize("table,index,value", [
     ("cond", 0, math.nan), ("cond", 1, -5.0), ("init", 0, 1.5),
 ])
 def test_load_rejects_probabilities_outside_the_unit_interval(tmp_path, table, index, value):
-    model = train(Corpus(["aab", "abb", "bba"]), alphabet=Alphabet("ab"), n=3)
-    good = tmp_path / "good"
-    save_model(model, good)
-    blob = good.read_bytes()
-    # header, alphabet "ab", then init_prob f64[4] and cond_prob f64[4, 2]
-    at = 20 + 2 + (8 * 4 if table == "cond" else 0) + 8 * index
-    bad = tmp_path / "bad_prob"
-    bad.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8:])
     with pytest.raises(ModelFormatError, match=r"outside \[0, 1\]"):
-        load_model(bad)
+        load_model(_rewritten(tmp_path, "ab", table, index, value))
+
+
+@pytest.mark.parametrize("table", ["cond", "init"])
+def test_load_rejects_tables_that_do_not_sum_to_1(tmp_path, table):
+    # 0.9 is a probability, but it replaces about 0.01 in cond_prob[0, 0]
+    # and about 0.33 in init_prob[0], so the row or table no longer sums to 1
+    path = _rewritten(tmp_path, "abc", table, 0, 0.9)
+    with pytest.raises(ModelFormatError, match="do not sum to 1"):
+        load_model(path)
 
 
 def test_load_refuses_an_absurd_order_before_sizing_its_tables(tmp_path):

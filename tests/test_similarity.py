@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -231,3 +232,12 @@ def test_policy_check_thresholds_are_tunable():
     assert policy_check("bob", "bob12", min_edit_distance=3) == "too-similar"
     assert policy_check("bob", "bob12", min_edit_distance=2) == "ok"
     assert policy_check("annmarie", "annmariexy", js_threshold=0.9) == "ok"
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(js_threshold=math.nan), dict(js_threshold=math.inf), dict(js_threshold=-0.1),
+    dict(js_threshold=1.5), dict(min_edit_distance=-1),
+])
+def test_policy_check_refuses_meaningless_thresholds(kwargs):
+    with pytest.raises(ValueError):
+        policy_check("annmarie", "annmarie99", **kwargs)
