@@ -12,6 +12,7 @@ import json
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -20,8 +21,10 @@ from .errors import EmptyCorpusError, HintParseError, OmenError
 DEFAULT_MIN_LENGTH = 3
 DEFAULT_MAX_LENGTH = 20
 
-# characters per read of a password file; a pass holds one block's lines
-_BLOCK = 1 << 16
+# characters per read of a password file. A pass holds one block's lines
+# and a few arrays of up to 8 bytes per character, training's only
+# temporaries; at 1 << 16 they alone would raise its peak RSS by about 5%
+_BLOCK = 1 << 15
 
 # Attribute vocabulary for hint records, in canonical report order.
 ATTRIBUTE_NAMES = (
@@ -56,8 +59,19 @@ def read_text(path):
         raise OmenError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+def _code_points(text: str) -> np.ndarray:
+    """The code point of each character of text, one uint32 per character."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
 class Alphabet:
-    """Ordered character set; rank order of n-grams follows this order."""
+    """Ordered character set; rank order of n-grams follows this order.
+
+    Characters map to ranks through a table indexed by code point, so a
+    whole block of text is ranked in one NumPy step (encode, and the line
+    filter of PasswordFile). accepts(text) tests a short string, such as one
+    gram, without building an array.
+    """
 
     def __init__(self, chars: str):
         if len(chars) < 2:
@@ -70,14 +84,15 @@ class Alphabet:
         self.chars = chars
         self.size = len(chars)
         self._index = {ch: i for i, ch in enumerate(chars)}
-        # accepts(text): every character of text is in the alphabet. Bound to a
-        # frozenset so that load_passwords' check of every line runs in C.
+        # accepts(text): every character of text is in the alphabet, in C
         self.accepts = frozenset(chars).issuperset
         # <U1 array used for bulk decoding of guess batches.
         self._char_array = np.array(list(chars), dtype="<U1")
-        # code point -> rank, -1 outside the alphabet; the last entry covers all above
-        codes = np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        self._rank_of = np.full(int(codes.max()) + 2, -1, dtype=np.int64)
+        # code point -> rank, -1 outside the alphabet; the last entry covers
+        # all above. int32 holds every gram rank that training forms from
+        # these, since |alphabet|**n <= _MAX_TABLE_CELLS < 2**31
+        codes = _code_points(chars)
+        self._rank_of = np.full(int(codes.max()) + 2, -1, dtype=np.int32)
         self._rank_of[codes] = np.arange(self.size)
 
     @classmethod
@@ -118,12 +133,15 @@ class Alphabet:
 
     def encode(self, text: str) -> np.ndarray:
         """The int64 rank of each character; ValueError names one outside the alphabet."""
-        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-        ranks = self._rank_of[np.minimum(codes, self._rank_of.size - 1)]
+        ranks = self._ranks(_code_points(text))
         if ranks.size and ranks.min() < 0:
             ch = text[int(np.argmax(ranks < 0))]
             raise ValueError(f"character {ch!r} not in alphabet")
-        return ranks
+        return ranks.astype(np.int64)
+
+    def _ranks(self, codes: np.ndarray) -> np.ndarray:
+        """The int32 rank of each code point, -1 for one outside the alphabet."""
+        return self._rank_of.take(codes, mode="clip")
 
     def decode_batch(self, codes: np.ndarray) -> list[str]:
         """Turn an (m, ell) array of character ranks into m strings."""
@@ -158,13 +176,19 @@ class HintRecord:
 class PasswordFile:
     """The passwords of a newline-delimited UTF-8 file, streamed.
 
-    Iterating yields, in file order, exactly the lines whose characters all
-    belong to the alphabet and whose length lies in [min_len, max_len]. Each
-    pass reopens the file and reads it in blocks of _BLOCK characters, so it
-    holds one block's lines whatever the file's size, and the object can be
-    iterated any number of times. Lines end at LF, CRLF or a lone CR. A pass
-    that keeps nothing raises EmptyCorpusError at its end; kept and
+    A pass keeps, in file order, exactly the lines whose characters all
+    belong to the alphabet and whose length lies in [min_len, max_len].
+    Each pass reopens the file and reads it in blocks of _BLOCK characters,
+    so it holds one block's lines whatever the file's size, and the object
+    can be iterated any number of times. Lines end at LF, CRLF or a lone CR.
+    A pass that keeps nothing raises EmptyCorpusError at its end; kept and
     rejected_count tally the last pass that finished.
+
+    Iterating yields the kept lines as strings; encoded() yields them as
+    the flat int32 ranks and lengths that train counts, with no string made
+    per line. Both come from the one filter, _filter_lines, which ranks a
+    block's text in one step and finds its line breaks and foreign
+    characters with NumPy.
     """
 
     def __init__(self, path, alphabet: Alphabet | None = None,
@@ -179,7 +203,21 @@ class PasswordFile:
         self.rejected_count = 0
 
     def __iter__(self):
-        lo, hi, accepts = self.min_len, self.max_len, self.alphabet.accepts
+        for text, keep, _flat, _lengths in self._scan():
+            # text ends with "\n", so its last piece is empty; keep is one shorter
+            yield from compress(text.split("\n"), keep.tolist())
+
+    def encoded(self):
+        """Per block, the kept lines as (flat, lengths): their characters'
+        int32 ranks end to end, and each line's length."""
+        for _text, _keep, flat, lengths in self._scan():
+            yield flat, lengths
+
+    def _scan(self):
+        """One pass: per block, (text, keep, flat, lengths) for the block's
+        complete lines. text is those lines, each ended by "\n"; keep marks
+        the lines kept; flat and lengths are the kept lines encoded."""
+        lo, hi, alphabet = self.min_len, self.max_len, self.alphabet
         kept = rejected = 0
         tail = ""
         with read_text(self.path) as fh:
@@ -190,17 +228,42 @@ class PasswordFile:
                         break
                     block = "\n"  # ends a last line that has no newline
                 # text mode has already turned "\r\n" and "\r" into "\n"
-                lines = (tail + block).split("\n")
-                # the last piece goes on in the next block; past max_len
+                text = tail + block
+                cut = text.rfind("\n") + 1
+                # the last line goes on in the next block; past max_len
                 # characters only its length matters, so that much is kept
-                tail = lines.pop()[: hi + 1]
-                good = [pwd for pwd in lines if lo <= len(pwd) <= hi and accepts(pwd)]
-                kept += len(good)
-                rejected += len(lines) - len(good)
-                yield from good
+                tail = text[cut:][: hi + 1]
+                if not cut:
+                    continue
+                text = text[:cut]
+                keep, flat, lengths = _filter_lines(alphabet, text, lo, hi)
+                kept += lengths.size
+                rejected += keep.size - lengths.size
+                yield text, keep, flat, lengths
         self.kept, self.rejected_count = kept, rejected
         if not kept:
             raise EmptyCorpusError(f"no usable passwords in {self.path} (rejected {rejected})")
+
+
+def _filter_lines(alphabet: Alphabet, text: str, lo: int, hi: int):
+    """(keep, flat, lengths) for text, whole lines each ended by "\n": keep
+    marks the lines of length in [lo, hi] with every character in the
+    alphabet, flat is the kept lines' int32 ranks end to end and lengths
+    their lengths. Its temporaries, a few of one entry per character, end
+    when it returns."""
+    codes = _code_points(text)
+    ends = np.flatnonzero(codes == 10)  # "\n"
+    lengths = np.diff(ends, prepend=-1) - 1
+    keep = (lengths >= lo) & (lengths <= hi)
+    # a foreign character rejects the line it falls in; the newlines are
+    # outside the alphabet too, so they are unmarked first
+    ranks = alphabet._ranks(codes)
+    foreign = ranks < 0
+    foreign[ends] = False
+    keep[np.searchsorted(ends, np.flatnonzero(foreign))] = False
+    inside = np.repeat(keep, lengths + 1)
+    inside[ends] = False
+    return keep, np.compress(inside, ranks), lengths[keep]
 
 
 def load_passwords(

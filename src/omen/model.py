@@ -21,7 +21,7 @@ from itertools import islice
 
 import numpy as np
 
-from .corpus import Alphabet
+from .corpus import Alphabet, PasswordFile
 from .errors import ModelFormatError, ScoringError, TrainingError
 
 DEFAULT_ORDER = 3
@@ -37,8 +37,10 @@ _MAX_TABLE_CELLS = 200_000_000
 # passwords per gram-counting chunk; training's temporaries scale with this
 _CHUNK = 1 << 12
 
-# table entries per step of the in-place float conversion and discretization
-_BLOCK = 1 << 16
+# table entries per step of the in-place float conversion and discretization;
+# a step's float temporary (128 KB) also lands on load_model's peak, through
+# its level check
+_BLOCK = 1 << 14
 
 
 def calibrate(p_max: float, L: int) -> tuple[float, float]:
@@ -149,11 +151,14 @@ def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
     entry is that short there is nothing to anchor a guess on and training
     fails.
 
-    The corpus (any iterable of strings, such as a PasswordFile) is iterated
-    once, in fixed-size chunks of passwords whose grams are added to exact
-    integer counts. The counts then turn into the probabilities in place and
-    the levels are filled a block at a time, so beyond the tables themselves
-    memory does not grow with the corpus.
+    The corpus is iterated once and its grams are added to exact integer
+    counts a batch at a time. A PasswordFile over the same alphabet hands
+    over its blocks already encoded (PasswordFile.encoded), so no string is
+    made per password; any other iterable of strings, such as a list, is
+    read in chunks of _CHUNK passwords and encoded here. The counts then
+    turn into the probabilities in place and the levels are filled a block
+    at a time, so beyond the tables themselves memory does not grow with
+    the corpus.
     """
     if alphabet is None:
         alphabet = Alphabet.default()
@@ -165,12 +170,7 @@ def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
 
     init_counts = np.zeros(C, dtype=np.int64)
     cond_counts = np.zeros(C * sigma, dtype=np.int64)
-    passwords = iter(corpus)
-    empty = True
-    while chunk := list(islice(passwords, _CHUNK)):
-        empty = False
-        _count_chunk(alphabet, n, chunk, init_counts, cond_counts)
-    if empty:
+    if not _count_corpus(corpus, alphabet, n, init_counts, cond_counts):
         raise TrainingError("empty corpus")
     if not init_counts.any():
         raise TrainingError(f"no entry has the {n1} characters needed for an initial gram")
@@ -185,15 +185,21 @@ def train(corpus, alphabet: Alphabet | None = None, n: int = DEFAULT_ORDER,
     cond_prob += delta
     cond_prob /= totals
 
-    min_level = -(L - 1)
-    c1i, c2 = calibrate(float(init_prob.max()), L)
-    c1c, _ = calibrate(float(cond_prob.max()), L)
-    init_level = _discretize_array(init_prob, c1i, c2, min_level)
+    init_level = np.empty(C, dtype=np.int8)
     cond_level = np.empty(C * sigma, dtype=np.int8)
-    flat = cond_prob.reshape(-1)
-    for lo in range(0, flat.size, _BLOCK):
-        cond_level[lo:lo + _BLOCK] = _discretize_array(flat[lo:lo + _BLOCK], c1c, c2, min_level)
+    for prob, levels in ((init_prob, init_level), (cond_prob, cond_level)):
+        for lo, block in _level_blocks(prob, L):
+            levels[lo:lo + block.size] = block
     return NgramModel(alphabet, n, L, init_prob, cond_prob, init_level, cond_level)
+
+
+def _level_blocks(prob: np.ndarray, L: int):
+    """(offset, levels) for each _BLOCK of prob's entries in C order, the
+    levels calibrated on prob's maximum; a temporary per block, not per table."""
+    c1, c2 = calibrate(float(prob.max()), L)
+    flat = prob.reshape(-1)
+    for lo in range(0, flat.size, _BLOCK):
+        yield lo, _discretize_array(flat[lo:lo + _BLOCK], c1, c2, -(L - 1))
 
 
 def _as_float(counts: np.ndarray) -> np.ndarray:
@@ -205,13 +211,32 @@ def _as_float(counts: np.ndarray) -> np.ndarray:
     return values
 
 
-def _count_chunk(alphabet: Alphabet, n: int, passwords: list[str],
+def _count_corpus(corpus, alphabet: Alphabet, n: int,
+                  init_counts: np.ndarray, cond_counts: np.ndarray) -> int:
+    """Add the grams of every entry of corpus to the counts in place and
+    return the number of entries, one batch at a time; no batch outlives
+    the call."""
+    if isinstance(corpus, PasswordFile) and corpus.alphabet == alphabet:
+        batches = corpus.encoded()
+    else:
+        passwords = iter(corpus)
+        batches = (_encode_concat(alphabet, chunk)
+                   for chunk in iter(lambda: list(islice(passwords, _CHUNK)), []))
+    entries = 0
+    for flat, lengths in batches:
+        entries += lengths.size
+        _count_grams(alphabet.size, n, flat, lengths, init_counts, cond_counts)
+    return entries
+
+
+def _count_grams(sigma: int, n: int, flat: np.ndarray, lengths: np.ndarray,
                  init_counts: np.ndarray, cond_counts: np.ndarray) -> None:
-    """Add the grams of passwords to the counts in place; a password shorter
-    than n-1 characters has none."""
-    sigma = alphabet.size
+    """Add the grams of a batch of passwords to the counts in place. flat
+    holds the passwords' character ranks end to end and lengths their
+    lengths; a password shorter than n-1 characters has no gram. int32
+    ranks are as good as int64: every gram rank formed from them is below
+    sigma**n <= _MAX_TABLE_CELLS < 2**31."""
     n1 = n - 1
-    flat, lengths = _encode_concat(alphabet, passwords)
     usable = lengths >= n1
     if not usable.any():
         return
@@ -220,15 +245,16 @@ def _count_chunk(alphabet: Alphabet, n: int, passwords: list[str],
     for j in range(1, n1):
         ctx *= sigma
         ctx += flat[j : flat.size - n1 + 1 + j]
-    starts = np.zeros(len(passwords), dtype=np.int64)
+    starts = np.zeros(lengths.size, dtype=np.int64)
     np.cumsum(lengths[:-1], out=starts[1:])
-    # add.at costs O(chunk); a bincount would build a whole table per chunk
+    # add.at costs O(batch); a bincount would build a whole table per batch
     np.add.at(init_counts, ctx[starts[usable]], 1)
 
     # the n-gram at i is ctx[i] followed by flat[i + n-1]; keep those inside one password
-    pid = np.repeat(np.arange(len(passwords), dtype=np.int64), lengths)
-    inside = pid[:-n1] == pid[n1:]
-    np.add.at(cond_counts, ctx[:-1][inside] * sigma + flat[n1:][inside], 1)
+    pid = np.repeat(np.arange(lengths.size, dtype=np.int32), lengths)
+    grams = ctx[:-1] * sigma
+    grams += flat[n1:]
+    np.add.at(cond_counts, np.compress(pid[:-n1] == pid[n1:], grams), 1)
 
 
 def _chain(model, pwd: str) -> tuple[int, list[tuple[int, int]]]:
@@ -297,9 +323,10 @@ def load_model(path) -> NgramModel:
     The file is only parsed here; the model it holds must pass the same
     checks as a trained one: n >= 2, L in [2, 128], probabilities in
     [0, 1], every conditional row and the initial table summing to 1, and
-    levels in [-(L-1), 0] with a gram at level 0 in each table. Levels are
-    range-checked, not recomputed from the probabilities. A failed check
-    raises ModelFormatError. The smoothing delta is not stored.
+    levels in [-(L-1), 0] with a gram at level 0 in each table. Beyond
+    that, each table's levels must be the ones train derives from its
+    probabilities; they are recomputed a block at a time and compared. A
+    failed check raises ModelFormatError. The smoothing delta is not stored.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -332,6 +359,13 @@ def load_model(path) -> NgramModel:
         tables.append(np.frombuffer(blob, dtype=dtype, count=count, offset=off))
         off += tables[-1].nbytes
     try:
-        return NgramModel(alphabet, n, L, *tables)
+        model = NgramModel(alphabet, n, L, *tables)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
+    # the check a hand-built NgramModel is spared: its levels may be set by hand
+    for prob, levels in ((model.init_prob, model.init_level),
+                         (model.cond_prob, model.cond_level.reshape(-1))):
+        for lo, block in _level_blocks(prob, L):
+            if not np.array_equal(block, levels[lo:lo + block.size]):
+                raise ModelFormatError("levels do not match the probabilities")
+    return model

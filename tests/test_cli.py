@@ -10,7 +10,7 @@ import pytest
 import omen
 import synth
 from omen import load_curve, load_model
-from omen.cli import main
+from omen.cli import _parse_checkpoints, main
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -271,7 +271,7 @@ def test_crack_on_a_test_set_that_is_not_utf8_exits_2(workdir, tmp_path, capsys,
 
 def test_crack_bad_checkpoints_exit_1(workdir, capsys, caplog):
     out = workdir["root"] / "never_written.csv"
-    for checkpoints in ("abc", "10,inf", "10,nan", "1e400", "10,20.5"):
+    for checkpoints in ("abc", "10,inf", "10,nan", "1e400", "10,20.5", "1e1000000000"):
         for extra in ([], ["--out", str(out)]):
             cmd = "eval" if extra else "crack"
             caplog.clear()
@@ -282,6 +282,17 @@ def test_crack_bad_checkpoints_exit_1(workdir, capsys, caplog):
             assert "bad checkpoint list" in caplog.text
     assert not out.exists()
     capsys.readouterr()
+
+
+def test_checkpoints_parse_exactly():
+    assert _parse_checkpoints("10000000000000001") == [10000000000000001]
+    assert _parse_checkpoints("1e3, 2E4,,20.0,2.5e+3,007") == [1000, 20000, 20, 2500, 7]
+    assert _parse_checkpoints("9" * 309) == [10**309 - 1]
+    # 1e1000000000 would take minutes to expand; it is refused from its exponent
+    for text in ("20.5", "2.55e1", "inf", "nan", "-5", "1e309", "1" + "0" * 309,
+                 "1e1000000000", "1e-1000000000", "1e-3", "0x10", "1 0"):
+        with pytest.raises(ValueError, match="bad checkpoint list"):
+            _parse_checkpoints(text)
 
 
 # --- password length range ---------------------------------------------------------

@@ -4,15 +4,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import omen.corpus
 import omen.model
 import synth
 from omen import (
     Alphabet,
     Corpus,
+    EmptyCorpusError,
     ModelFormatError,
+    PasswordFile,
     ScoringError,
     TrainingError,
     load_model,
@@ -158,6 +161,18 @@ def test_training_holds_about_one_conditional_table():
     assert peak < 1.5 * table, peak / table
 
 
+def test_training_from_a_file_holds_about_one_conditional_table(tmp_path):
+    # the bound above, on the route omen train takes: the file's blocks are
+    # encoded and counted one at a time, so their temporaries must fit where
+    # a list's chunk does. The file spans about twenty blocks.
+    alphabet = Alphabet.default()
+    table = alphabet.size ** 3 * np.dtype(np.float64).itemsize
+    path = tmp_path / "pwds.txt"
+    path.write_text("\n".join(synth.markov_words(17, alphabet, 80_000)) + "\n")
+    peak = _train_peak_bytes(PasswordFile(path, alphabet), alphabet)
+    assert peak < 1.5 * table, peak / table
+
+
 def test_train_rejects_bad_parameters():
     corpus = Corpus(["abc"])
     with pytest.raises(ValueError):
@@ -171,6 +186,58 @@ def test_train_rejects_bad_parameters():
     for delta in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             train(corpus, delta=delta)
+
+
+_FILE_ALPHABET = Alphabet("ab\U0001d11e")  # one character beyond the BMP
+_FILE_LINE = st.text(
+    # foreign characters, one of them beyond the BMP too; no line break
+    st.one_of(st.sampled_from(_FILE_ALPHABET.chars), st.sampled_from("z\U0001f600\t")),
+    max_size=12)
+
+
+def _trained(tmp_path, corpus, name, **kwargs):
+    """The saved model's bytes, or the error training raised."""
+    try:
+        model = train(corpus, alphabet=_FILE_ALPHABET, **kwargs)
+    except (EmptyCorpusError, TrainingError) as exc:
+        return type(exc), str(exc)
+    path = tmp_path / name
+    save_model(model, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@given(
+    lines=st.lists(_FILE_LINE, max_size=20),
+    breaks=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=20, max_size=20),
+    final_break=st.booleans(),
+    block=st.sampled_from([*range(1, 8), omen.corpus._BLOCK]),
+    bounds=st.sampled_from([(1, 3), (1, 20), (2, 9)]),
+)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_password_file_trains_as_its_list_of_lines(
+        tmp_path, monkeypatch, n, lines, breaks, final_break, block, bounds):
+    # the file route counts the blocks' ranks; the list route encodes the
+    # strings that iterating the same file yields
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    if lines and not final_break:
+        text = text[: -len(breaks[len(lines) - 1])]
+    path = tmp_path / "pwds.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with monkeypatch.context() as patch:
+        patch.setattr(omen.corpus, "_BLOCK", block)
+        encoded = PasswordFile(path, _FILE_ALPHABET, *bounds)
+        from_file = _trained(tmp_path, encoded, "file.omen", n=n)
+        listed = PasswordFile(path, _FILE_ALPHABET, *bounds)
+        try:
+            corpus = list(listed)
+        except EmptyCorpusError as exc:
+            from_list = EmptyCorpusError, str(exc)
+        else:
+            from_list = _trained(tmp_path, corpus, "list.omen", n=n)
+    assert from_file == from_list
+    assert (encoded.kept, encoded.rejected_count) == (listed.kept, listed.rejected_count)
 
 
 def test_train_rejects_a_foreign_character_past_the_first_chunk():
@@ -340,6 +407,25 @@ def test_load_rejects_tables_that_do_not_sum_to_1(tmp_path, table):
     # and about 0.33 in init_prob[0], so the row or table no longer sums to 1
     path = _rewritten(tmp_path, "abc", table, 0, 0.9)
     with pytest.raises(ModelFormatError, match="do not sum to 1"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("table", ["init", "cond"])
+def test_load_rejects_levels_that_disagree_with_the_probabilities(tmp_path, table):
+    model = train(Corpus(["aab", "abb", "bba"]), alphabet=Alphabet("abc"), n=3)
+    path = tmp_path / "model"
+    save_model(model, path)
+    blob = bytearray(path.read_bytes())
+    levels = (model.init_level if table == "init" else model.cond_level).reshape(-1)
+    index = int(np.argmin(levels))
+    # one level up stays in [-(L-1), 0] and leaves the table's level-0 gram
+    assert levels[index] < 0
+    C = 3**2
+    # header, alphabet, init_prob f64[C], cond_prob f64[C*3], then the levels
+    at = 20 + 3 + 8 * C * 4 + (C if table == "cond" else 0) + index
+    blob[at] += 1
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ModelFormatError, match="levels do not match the probabilities"):
         load_model(path)
 
 
