@@ -87,6 +87,8 @@ class BoostProfile:
                 if len(parts) != 3:
                     raise OmenError(f"profile line {line_no}: expected attribute,alpha,boostLevel")
                 attr, alpha_s, blevel_s = parts
+                if attr in profile._entries:
+                    raise OmenError(f"profile line {line_no}: attribute {attr!r} repeated")
                 try:
                     alpha = float(alpha_s)
                     blevel = int(blevel_s)

@@ -10,11 +10,11 @@ the frontier at depth d holds, in character order, every prefix whose first
 d levels match the vector and that can still reach eta. Reachability comes
 from the same backward dynamic program that counts a cell (_count_dp), so a
 vector whose prefix has no live string makes no strings, and live prefixes
-are extended a whole frontier at a time. The odometer still forms every
-vector of the cell, live or not, so a cell's cost grows with its vectors:
-(20, -8) of a 72-character model forms 1.56M vectors for no string
-(ROADMAP.md's output-sensitive level vectors item drives the vectors from
-the frontier instead).
+are extended a whole frontier at a time. A cell where no initial gram can
+reach eta stops at the root, before its first vector. A non-empty cell
+still forms every vector of its odometer, live or not, so its cost grows
+with its vectors (ROADMAP.md's output-sensitive level vectors item drives
+the vectors from the frontier instead).
 
 That program runs over classes of contexts, not over all |alphabet|**(n-1)
 contexts. A transition leads to a context that depends only on the last n-2
@@ -25,14 +25,13 @@ such group is one class, and every other context a class of its own. The
 members of a class also lead to the same contexts, so one index over
 classes (_tables, cached on the model) serves everything: the program and
 its reach table are indexed by class, and the walk carries each prefix's
-class next to its context, reading both from the same CSR positions. Nothing
-is built per transition of every context, and no table is indexed by
-context.
+class next to its context, reading both from the same CSR positions; the
+initial grams are the one row of a root CSR of the same type. Nothing is
+built per transition of every context, and no table is indexed by context.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -42,50 +41,52 @@ from .corpus import DEFAULT_MIN_LENGTH
 _BATCH = 1024
 
 
+class _Csr(NamedTuple):
+    """Level-major CSR over the rows of a transition table: block b =
+    level * rows + row lists the row's transitions at that negated level in
+    ascending character order, as start[b]:start[b + 1] of ctx (the
+    contexts they lead to; the character is the context mod |alphabet|)
+    and of cls (the classes of those contexts)."""
+
+    start: np.ndarray
+    ctx: np.ndarray
+    cls: np.ndarray
+    rows: int
+
+
 class _Tables(NamedTuple):
     """The enumerator's per-model index, over classes of contexts that share
     every column of the level-sum dynamic program.
 
-    size is the number of classes and of[c] the class of context c.
-    succ_ctx/succ_next/succ_start: CSR over (negated level, class) blocks,
-    block b = level * size + class, the blocks of one level contiguous in
-    class order. A block lists the class's transitions at that level in
-    ascending character order: succ_ctx holds the contexts they lead to
-    (the character is the context modulo |alphabet|), which are the same
-    for every member of the class, and succ_next the classes of those
-    contexts.
-    init_grams/init_cls/init_start: the same CSR over a table of one row,
-    the root, whose sigma**(n-1) transitions are the initial grams: block
-    v (= level v) lists the initial-gram ranks at level v in ascending
-    order, and init_cls holds each gram's class.
+    of[c] is the class of context c. step is the CSR over classes, one row
+    per class: its transitions are the same for every member of the class.
+    root is the same CSR over a table of one row, whose sigma**(n-1)
+    transitions are the initial grams: block v (= level v) lists the
+    initial-gram ranks at level v in ascending order.
     """
 
-    size: int
     of: np.ndarray
-    succ_ctx: np.ndarray
-    succ_next: np.ndarray
-    succ_start: np.ndarray
-    init_grams: np.ndarray
-    init_cls: np.ndarray
-    init_start: np.ndarray
+    step: _Csr
+    root: _Csr
+
+    @property
+    def size(self) -> int:  # the number of classes
+        return self.step.rows
 
 
-def _level_csr(neg: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level-major CSR over the rows of neg, the negated levels of each row's
-    sigma transitions.
-
-    Block b = level * R + row lists the row's transitions at that level, in
-    ascending character order, as flat positions row * sigma + character.
-    Returns (positions, succ_start).
-    """
-    R, sigma = neg.shape
-    index = np.int32 if max(L, sigma) * R < 2**31 else np.int64
+def _level_csr(neg: np.ndarray, L: int, base: np.ndarray, of: np.ndarray) -> _Csr:
+    """The _Csr of the rows of neg, the negated levels of each row's
+    transitions, where transition z of row r leads to context base[r] + z."""
+    R, width = neg.shape
+    index = np.int32 if max(L, width) * R < 2**31 else np.int64
     # a stable sort by level keeps (row, character) order inside a level
     pos = np.argsort(neg.reshape(-1), kind="stable").astype(index)
     block = neg.astype(index) * R + np.arange(R, dtype=index)[:, None]
-    succ_start = np.zeros(L * R + 1, dtype=index)
-    np.cumsum(np.bincount(block.reshape(-1), minlength=L * R), out=succ_start[1:])
-    return pos, succ_start
+    start = np.zeros(L * R + 1, dtype=index)
+    np.cumsum(np.bincount(block.reshape(-1), minlength=L * R), out=start[1:])
+    del block  # R * width; freed before the next R * width temporaries
+    ctx = base[pos // width] + pos % width
+    return _Csr(start, ctx, of[ctx], R)
 
 
 def _tables(model) -> _Tables:
@@ -120,18 +121,24 @@ def _tables(model) -> _Tables:
     rep = np.empty(int(rank[-1]) + 1, dtype=index)
     rep[of] = ctx  # any member stands for its class
     del ctx, low, key, used, rank  # C-sized; not kept through the CSR build
-    pos, succ_start = _level_csr(-model.cond_level[rep], L)
-    row, z = np.divmod(pos, sigma)
-    succ_ctx = rep[row] % S * sigma + z
-    init_grams, init_start = _level_csr(-model.init_level[None, :], L)
-    tabs = _Tables(len(rep), of, succ_ctx, of[succ_ctx], succ_start,
-                   init_grams, of[init_grams], init_start)
+    step = _level_csr(-model.cond_level[rep], L, rep % S * sigma, of)
+    root = _level_csr(-model.init_level[None, :], L, np.zeros(1, dtype=index), of)
+    tabs = _Tables(of, step, root)
     model._enum_tables = tabs
     return tabs
 
 
+def _root_rows(tabs: _Tables, layer: np.ndarray, budget: int) -> Iterator[np.ndarray]:
+    """Per level v of the initial grams, row budget - v of layer at their
+    classes: what the rest of the string adds to each gram's count or reach."""
+    start, cls = tabs.root.start, tabs.root.cls
+    for v in range(min(len(start) - 1, budget + 1)):
+        yield layer[budget - v, cls[start[v]:start[v + 1]]]
+
+
 def _count_dp(tabs: _Tables, layer: np.ndarray) -> np.ndarray:
-    """One backward step of the level-sum dynamic program.
+    """One backward step of the level-sum dynamic program, over the class
+    CSR tabs.step.
 
     layer[s, c] is the number of ways r transitions from class c add up
     to s negated levels (for a bool layer: whether there is one). Returns
@@ -140,7 +147,7 @@ def _count_dp(tabs: _Tables, layer: np.ndarray) -> np.ndarray:
     as no sum overflows; an object layer holds Python ints.
     """
     width, C = layer.shape
-    start, succ_next = tabs.succ_start, tabs.succ_next
+    start, succ_cls = tabs.step.start, tabs.step.cls
     merge = np.logical_or if layer.dtype == bool else np.add
     out = np.zeros_like(layer)
     for level in range(min(width, (len(start) - 1) // C)):
@@ -162,7 +169,7 @@ def _count_dp(tabs: _Tables, layer: np.ndarray) -> np.ndarray:
             cuts = (np.flatnonzero(np.diff((first - lo) // piece)) + 1).tolist()
         for a, b in zip([0, *cuts], [*cuts, len(rows)]):
             s_lo, s_hi = int(first[a]), int(first[b]) if b < len(rows) else hi
-            gathered = layer[:width - level, succ_next[s_lo:s_hi]]
+            gathered = layer[:width - level, succ_cls[s_lo:s_hi]]
             sums = merge.reduceat(gathered, first[a:b] - s_lo, axis=1)
             out[level:, rows[a:b]] = merge(out[level:, rows[a:b]], sums)
     return out
@@ -264,6 +271,9 @@ def _generate(model, eta, ell, k):
     out = np.empty((batch_size, ell), dtype=np.int32)
     m = 0
     dead = None
+    # an empty cell stops at the root: no initial gram can still reach eta
+    if not any(row.any() for row in _root_rows(tabs, walk.can[k - 1], -eta)):
+        return
     for vec in enum_level_vectors(eta, k, -(model.L - 1)):
         if dead is not None and vec[:len(dead)] == dead:
             continue
@@ -289,10 +299,11 @@ class _Walk:
     generated from the chunk above, as a range of its candidate children
     (the parents' CSR blocks at the vector's level for that depth,
     concatenated), and keeps only children from whose class the rest of the
-    level budget is still reachable. The root's row is the initial-gram CSR
-    of _Tables and every other depth's the class CSR, so every depth takes
-    the same path. A chunk of full strings is cut to the room left in the
-    output batch and written whole.
+    level budget is still reachable. Depth 0 reads the root _Csr of _Tables
+    and every other depth the class _Csr, so every depth takes the same
+    path: candidate q of a depth is at CSR position q + offset[p] of the
+    parent p with cum[p - 1] <= q < cum[p]. A chunk of full strings is cut
+    to the room left in the output batch and written whole.
 
     Chunks that hold a whole frontier (depths 1..full) stay valid for the
     next vector as far as it shares the current vector's prefix. When a whole
@@ -306,23 +317,17 @@ class _Walk:
         self.k = k
         self.batch = batch_size
         self.can = _reach(model, k - 1, budget + 1)
-        # per depth: the CSR its chunk's children come from, as (start,
-        # contexts, classes, row width)
-        root = (tabs.init_start, tabs.init_grams, tabs.init_cls, 1)
-        step = (tabs.succ_start, tabs.succ_ctx, tabs.succ_next, tabs.size)
-        self.csr = [root] + [step] * (k - 1)
+        self.csr = [tabs.root] + [tabs.step] * (k - 1)  # the CSR depth d's children come from
         self.levels: list[int] = []
         self.rem = [budget] * (k + 1)  # level budget left after depth d
         self.ctx: list[np.ndarray | None] = [None] * (k + 1)
         self.cls: list[np.ndarray | None] = [None] * (k + 1)
         self.cls[0] = np.zeros(1, dtype=np.intp)  # the root is the one row of its table
         self.par: list[np.ndarray | None] = [None] * (k + 1)
-        # children of depth d's chunk: per parent the CSR offset, count and
-        # cumulative count; the total, the next candidate, and the children
-        # kept so far
-        self.offset: list[np.ndarray | None] = [None] * k
-        self.counts: list[np.ndarray | None] = [None] * k
+        # children of depth d's chunk: per parent the cumulative count and
+        # CSR block end - cum; the total, next candidate and number kept
         self.cum: list[np.ndarray | None] = [None] * k
+        self.offset: list[np.ndarray | None] = [None] * k
         self.total = [0] * k
         self.pos = [0] * k
         self.kept = [0] * k
@@ -349,16 +354,14 @@ class _Walk:
 
     def _children(self, depth: int) -> None:
         """Set up the candidate children of depth's chunk at the vector's level."""
-        start, _, _, width = self.csr[depth]
+        csr = self.csr[depth]
         self.pos[depth] = 0
         self.kept[depth] = 0
-        block = self.cls[depth] + self.levels[depth] * width
-        first = start[block]
-        counts = start[block + 1] - first
-        cum = np.cumsum(counts)
-        self.counts[depth] = counts
+        block = self.cls[depth] + self.levels[depth] * csr.rows
+        end = csr.start[block + 1]
+        cum = np.cumsum(end - csr.start[block])
         self.cum[depth] = cum
-        self.offset[depth] = first - (cum - counts)
+        self.offset[depth] = end - cum
         self.total[depth] = int(cum[-1])
 
     def chunk(self, depth: int, size: int) -> bool:
@@ -368,18 +371,12 @@ class _Walk:
         q1 = min(q0 + size, self.total[depth])
         self.pos[depth] = q1
         whole = q0 == 0 and q1 == self.total[depth]
-        _, succ_ctx, succ_cls, _ = self.csr[depth]
-        # parents p0..p1 hold candidates q0..q1-1; clip the two ends
-        cum, counts = self.cum[depth], self.counts[depth]
-        p0 = bisect_right(cum, q0)
-        p1 = bisect_left(cum, q1)
-        take = counts[p0:p1 + 1].copy()
-        take[0] -= q0 - (cum[p0] - counts[p0])
-        take[-1] -= cum[p1] - q1
-        par = np.repeat(np.arange(p0, p1 + 1), take)
-        at = np.arange(q0, q1) + self.offset[depth][par]
-        nxt = succ_ctx[at]
-        cls = succ_cls[at]
+        csr = self.csr[depth]
+        q = np.arange(q0, q1)
+        par = np.searchsorted(self.cum[depth], q, side="right")
+        at = q + self.offset[depth][par]
+        nxt = csr.ctx[at]
+        cls = csr.cls[at]
         left = self.k - 1 - depth
         if left:
             keep = self.can[left][self.rem[depth + 1]][cls]
@@ -452,9 +449,9 @@ def count_guesses(model, eta: int, ell: int) -> int:
     """Size of enum_pwd(model, eta, ell) without materializing guesses.
 
     The dynamic program runs over the classes of _tables(model), whose
-    member contexts share every column, and the initial grams read their
-    class. Exact at any size: it runs in int64 while its entries provably
-    fit and in Python ints beyond that.
+    member contexts share every column, and the root's row reads it at the
+    initial grams' classes. Exact at any size: it runs in int64 while its
+    entries provably fit and in Python ints beyond that.
     """
     _check_args(model, eta, ell)
     tabs = _tables(model)
@@ -470,6 +467,4 @@ def count_guesses(model, eta: int, ell: int) -> int:
     # reading the initial grams one level at a time keeps the temporaries
     # below one gather over all C; the sum runs in Python ints, since C
     # entries that each fit in int64 can add up past it
-    start, init_cls = tabs.init_start, tabs.init_cls
-    return sum(int(layer[budget - v, init_cls[start[v]:start[v + 1]]].sum(dtype=object))
-               for v in range(min(model.L, budget + 1)))
+    return sum(int(row.sum(dtype=object)) for row in _root_rows(tabs, layer, budget))

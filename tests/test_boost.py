@@ -571,6 +571,10 @@ def test_profile_load_rejects_garbage(tmp_path):
     path.write_text("attribute,alpha,boostLevel\nfirstName,abc,1\n")
     with pytest.raises(OmenError):
         BoostProfile.load(path, L=10)
+    # keeping the last line would turn firstName's boost off without a word
+    path.write_text("attribute,alpha,boostLevel\nfirstName,3,1\nfirstName,1,0\n")
+    with pytest.raises(OmenError, match="line 3: attribute 'firstName' repeated"):
+        BoostProfile.load(path, L=10)
 
 
 # --- boosted guessing --------------------------------------------------------

@@ -507,6 +507,17 @@ def test_plus_bad_profile_exit_2(workdir, capsys):
     capsys.readouterr()
 
 
+def test_plus_repeated_profile_attribute_exit_2(workdir, capsys, caplog):
+    twice = workdir["root"] / "twice.csv"
+    twice.write_text("attribute,alpha,boostLevel\nfirstName,3,1\nfirstName,1,0\n")
+    rc = main(["plus", "--model", str(workdir["model"]), "--hints",
+               str(workdir["hints"]), "--profile", str(twice),
+               "--budget", "10", "--quiet"])
+    assert rc == 2
+    assert "line 3" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
 # --- policy-check ------------------------------------------------------------------
 
 

@@ -226,6 +226,40 @@ def test_count_guesses_switches_to_python_ints():
     assert sum(counts) == 2**ell
 
 
+def test_count_guesses_exact_in_the_sum_over_initial_grams():
+    # n=6 over two letters: every class entry of the last layer fits in
+    # int64, but one cell's sum over the 32 initial grams passes 2**63
+    model = synth.random_model(23, sigma=2, n=6, L=2)
+    ell = 67
+    counts = [count_guesses(model, eta, ell) for eta in range(0, -(ell - 4) - 1, -1)]
+    assert max(counts) > 2**63
+    assert sum(counts) == 2**ell
+
+
+def test_an_empty_cell_stops_before_its_first_vector(monkeypatch):
+    # no string of length 16 sums to -4, though 3060 level vectors do: the
+    # cell ends at the root instead of forming them
+    model = synth.random_model(40, sigma=4, L=6)
+    ell, eta = 16, -4
+    assert sum(1 for _ in enum_level_vectors(eta, ell - 1, -5)) == 3060
+    formed = []
+    vectors = enumerator.enum_level_vectors
+
+    def counting(*args):
+        for vec in vectors(*args):
+            formed.append(vec)
+            yield vec
+
+    monkeypatch.setattr(enumerator, "enum_level_vectors", counting)
+    assert count_guesses(model, eta, ell) == 0
+    assert list(enum_pwd(model, eta, ell)) == []
+    assert formed == []
+    # the next cell holds strings, and its odometer still runs
+    assert count_guesses(model, eta - 1, ell) == 27
+    assert len(list(enum_pwd(model, eta - 1, ell))) == 27
+    assert formed
+
+
 # --- full order and bounded batches -----------------------------------------
 
 
