@@ -25,7 +25,7 @@ from .boost import (
 from .corpus import (ATTRIBUTE_NAMES, DEFAULT_MAX_LENGTH, DEFAULT_MIN_LENGTH, Alphabet,
                      Corpus, PasswordFile, load_hints, load_passwords)
 from .errors import EmptyCorpusError, OmenError
-from .evaluation import TestSetOracle, crack_curve, export_curve
+from .evaluation import TestSetOracle, check_checkpoints, crack_curve, export_curve, format_curve
 from .model import (
     DEFAULT_DELTA,
     DEFAULT_LEVEL_COUNT,
@@ -108,13 +108,25 @@ def _attack(args):
 
 
 def _curve(args):
-    """Crack the test set adaptively and sample the curve at --checkpoints."""
+    """Crack the test set adaptively and sample the curve at --checkpoints,
+    which are checked before anything is loaded."""
+    cps = check_checkpoints(_parse_checkpoints(args.checkpoints))
     test, _, stream = _attack(args)
-    cps = _parse_checkpoints(args.checkpoints)
     return crack_curve(stream, test.passwords, cps, unique=args.unique)
 
 
+def _check_out(path) -> None:
+    """Refuse an --out path that could not be written, before any work: its
+    directory must exist and be writable. Creates and truncates nothing."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise OmenError(f"{path}: directory {parent} does not exist or is not writable")
+    if os.path.isdir(path):
+        raise OmenError(f"{path}: is a directory")
+
+
 def _cmd_train(args) -> int:
+    _check_out(args.out)
     alphabet = Alphabet.from_file(args.alphabet) if args.alphabet else Alphabet.default()
     # streamed: train counts the file's blocks as it reads them, already
     # encoded, so no password list or per-password string is held
@@ -145,10 +157,7 @@ def _cmd_enum(args) -> int:
 
 def _cmd_crack(args) -> int:
     if args.checkpoints:
-        curve = _curve(args)
-        sys.stdout.write("guesses,fraction\n")
-        for cp, frac in zip(curve.checkpoints, curve.fractions):
-            sys.stdout.write(f"{cp},{frac!r}\n")
+        sys.stdout.write(format_curve(_curve(args)))
         return 0
     _, oracle, stream = _attack(args)
     made = sum(1 for _ in stream)
@@ -158,6 +167,7 @@ def _cmd_crack(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_out(args.out)
     curve = _curve(args)
     export_curve(curve, args.out)
     logger.info("final fraction %.4f; curve written to %s", curve.fractions[-1], args.out)

@@ -24,10 +24,11 @@ those characters have equal reach and count columns at every depth; each
 such group is one class, and every other context a class of its own. The
 members of a class also lead to the same contexts, so one index over
 classes (_tables, cached on the model) serves everything: the program and
-its reach table are indexed by class, and the walk carries each prefix's
-class next to its context, reading both from the same CSR positions; the
-initial grams are the one row of a root CSR of the same type. Nothing is
-built per transition of every context, and no table is indexed by context.
+its reach table are indexed by class, and the walk carries each prefix as a
+row of its character ranks next to its class, reading the characters a step
+adds and its class from the same CSR positions; the initial grams are the
+one row of a root CSR of the same type. Nothing is built per transition of
+every context, and no table is indexed by context.
 """
 
 from __future__ import annotations
@@ -293,17 +294,18 @@ class _Walk:
     """Frontiers of one cell, one chunk of at most batch_size per depth.
 
     Depth 0 holds one entry, the root, depth 1 initial grams, depth d > 1
-    the prefixes after d - 1 transitions, depth k full strings. Each entry
-    is a context, its class and the index of its parent in the chunk one
-    depth up, so a string is read back by following parents. A chunk is
-    generated from the chunk above, as a range of its candidate children
-    (the parents' CSR blocks at the vector's level for that depth,
+    the prefixes after d - 1 transitions, depth k full strings. An entry is
+    a row of ranks (its characters so far; the root has none) and a class.
+    A chunk is generated from the chunk above, as a range of its candidate
+    children (the parents' CSR blocks at the vector's level for that depth,
     concatenated), and keeps only children from whose class the rest of the
     level budget is still reachable. Depth 0 reads the root _Csr of _Tables
     and every other depth the class _Csr, so every depth takes the same
     path: candidate q of a depth is at CSR position q + offset[p] of the
-    parent p with cum[p - 1] <= q < cum[p]. A chunk of full strings is cut
-    to the room left in the output batch and written whole.
+    parent p with cum[p - 1] <= q < cum[p]. A child's row is its parent's
+    row followed by the last digits of the context it leads to: n - 1 at
+    the root, one at every later depth. A chunk of full strings is cut to
+    the room left in the output batch and copied there whole.
 
     Chunks that hold a whole frontier (depths 1..full) stay valid for the
     next vector as far as it shares the current vector's prefix. When a whole
@@ -313,17 +315,21 @@ class _Walk:
 
     def __init__(self, model, tabs: _Tables, budget: int, k: int, batch_size: int):
         self.sigma = model.alphabet.size
-        self.n1 = model.n - 1
         self.k = k
         self.batch = batch_size
         self.can = _reach(model, k - 1, budget + 1)
         self.csr = [tabs.root] + [tabs.step] * (k - 1)  # the CSR depth d's children come from
+        # a child of depth d adds the digits of its context at these powers
+        # of sigma: all n - 1 of an initial gram, then only the last one
+        index = tabs.root.ctx.dtype
+        self.powers = [self.sigma ** np.arange(model.n - 2, -1, -1, dtype=index)]
+        self.powers += [np.ones(1, dtype=index)] * (k - 1)
         self.levels: list[int] = []
         self.rem = [budget] * (k + 1)  # level budget left after depth d
-        self.ctx: list[np.ndarray | None] = [None] * (k + 1)
+        self.ranks: list[np.ndarray | None] = [None] * (k + 1)
+        self.ranks[0] = np.zeros((1, 0), dtype=np.int32)  # the root: one entry, no characters
         self.cls: list[np.ndarray | None] = [None] * (k + 1)
         self.cls[0] = np.zeros(1, dtype=np.intp)  # the root is the one row of its table
-        self.par: list[np.ndarray | None] = [None] * (k + 1)
         # children of depth d's chunk: per parent the cumulative count and
         # CSR block end - cum; the total, next candidate and number kept
         self.cum: list[np.ndarray | None] = [None] * k
@@ -375,21 +381,23 @@ class _Walk:
         q = np.arange(q0, q1)
         par = np.searchsorted(self.cum[depth], q, side="right")
         at = q + self.offset[depth][par]
-        nxt = csr.ctx[at]
         cls = csr.cls[at]
         left = self.k - 1 - depth
         if left:
             keep = self.can[left][self.rem[depth + 1]][cls]
-            nxt = nxt[keep]
+            at = at[keep]
             cls = cls[keep]
             par = par[keep]
         self.full = min(self.full, depth)
-        if not nxt.shape[0]:
+        if not at.shape[0]:
             return False
-        self.kept[depth] += nxt.shape[0]
-        self.ctx[depth + 1] = nxt
+        self.kept[depth] += at.shape[0]
+        width = self.ranks[depth].shape[1]  # the parents' characters
+        ranks = np.empty((at.shape[0], width + self.powers[depth].shape[0]), dtype=np.int32)
+        ranks[:, :width] = self.ranks[depth][par]
+        ranks[:, width:] = csr.ctx[at][:, None] // self.powers[depth] % self.sigma
+        self.ranks[depth + 1] = ranks
         self.cls[depth + 1] = cls
-        self.par[depth + 1] = par
         if whole and self.full == depth:
             self.full = depth + 1
         if depth + 1 < self.k:
@@ -397,22 +405,11 @@ class _Walk:
         return True
 
     def write(self, out: np.ndarray, m: int) -> int:
-        """Write the chunk of full strings as character ranks into out[m:];
+        """Copy the chunk of full strings, as character ranks, into out[m:];
         returns its size."""
-        count = self.ctx[self.k].shape[0]
-        rows = out[m:m + count]
-        sigma = self.sigma
-        idx = slice(None)
-        col = self.n1 + self.k - 2
-        for d in range(self.k, 1, -1):
-            rows[:, col] = self.ctx[d][idx] % sigma
-            idx = self.par[d][idx]
-            col -= 1
-        gram = self.ctx[1][idx]
-        for col in range(self.n1 - 1, -1, -1):
-            rows[:, col] = gram % sigma
-            gram = gram // sigma
-        return count
+        rows = self.ranks[self.k]
+        out[m:m + rows.shape[0]] = rows
+        return rows.shape[0]
 
 
 def _enum_fill(walk: _Walk, out: np.ndarray, m: int) -> int:

@@ -9,18 +9,24 @@ from dataclasses import dataclass
 from .errors import OmenError
 
 
+def check_checkpoints(checkpoints) -> tuple[int, ...]:
+    """checkpoints as ints; ValueError unless they are non-empty, each >= 1
+    and strictly ascending."""
+    cps = tuple(int(c) for c in checkpoints)
+    if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValueError("checkpoints must be non-empty, >= 1 and strictly ascending")
+    return cps
+
+
 @dataclass(frozen=True)
 class CrackCurve:
     checkpoints: tuple[int, ...]
     fractions: tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.checkpoints) != len(self.fractions) or not self.checkpoints:
-            raise ValueError("checkpoints and fractions must be equally sized and non-empty")
-        if any(b <= a for a, b in zip(self.checkpoints, self.checkpoints[1:])):
-            raise ValueError("checkpoints must be strictly ascending")
-        if self.checkpoints[0] < 1:
-            raise ValueError("checkpoints must be >= 1")
+        if len(self.checkpoints) != len(self.fractions):
+            raise ValueError("checkpoints and fractions must be equally sized")
+        check_checkpoints(self.checkpoints)
         if any(not 0.0 <= f <= 1.0 for f in self.fractions):
             raise ValueError("fractions must lie in [0, 1]")
         if any(b < a for a, b in zip(self.fractions, self.fractions[1:])):
@@ -64,12 +70,10 @@ def crack_curve(stream, test_set, checkpoints, unique: bool = False) -> CrackCur
     stream that ends early carries its final fraction through the remaining
     checkpoints.
     """
-    cps = [int(c) for c in checkpoints]
+    cps = check_checkpoints(checkpoints)
     oracle = TestSetOracle(test_set, unique)
     if oracle.total == 0:
         raise ValueError("empty test set")
-    if not cps or cps[0] < 1 or any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValueError("checkpoints must be strictly ascending and >= 1")
 
     fractions: list[float] = []
     seen = 0
@@ -84,16 +88,20 @@ def crack_curve(stream, test_set, checkpoints, unique: bool = False) -> CrackCur
                 break
     while len(fractions) < len(cps):
         fractions.append(oracle.fraction)
-    return CrackCurve(tuple(cps), tuple(fractions))
+    return CrackCurve(cps, tuple(fractions))
+
+
+def format_curve(curve: CrackCurve) -> str:
+    """The curve as "guesses,fraction" CSV text with LF line ends; repr keeps
+    fractions exact on reload."""
+    rows = [f"{cp},{frac!r}\n" for cp, frac in zip(curve.checkpoints, curve.fractions)]
+    return "guesses,fraction\n" + "".join(rows)
 
 
 def export_curve(curve: CrackCurve, path) -> None:
-    """Write "guesses,fraction" CSV; repr keeps fractions exact on reload."""
+    """Write the curve to path as format_curve's CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["guesses", "fraction"])
-        for cp, frac in zip(curve.checkpoints, curve.fractions):
-            writer.writerow([cp, repr(frac)])
+        fh.write(format_curve(curve))
 
 
 def load_curve(path) -> CrackCurve:

@@ -284,6 +284,46 @@ def test_crack_bad_checkpoints_exit_1(workdir, capsys, caplog):
     capsys.readouterr()
 
 
+def test_checkpoint_order_is_checked_before_the_model_is_read(tmp_path, caplog):
+    missing = tmp_path / "no_model.bin"
+    for cmd, extra in (("crack", []), ("eval", ["--out", str(tmp_path / "c.csv")])):
+        for checkpoints in ("10,5", "0,5", "7,7"):
+            caplog.clear()
+            rc = main([cmd, "--model", str(missing), "--test", str(tmp_path / "no_test.txt"),
+                       "--budget", "100", "--checkpoints", checkpoints, "--quiet", *extra])
+            assert rc == 1, (cmd, checkpoints)
+            assert "checkpoints must be non-empty, >= 1 and strictly ascending" in caplog.text
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_unwritable_out_is_refused_before_any_work(workdir, tmp_path, monkeypatch, caplog):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+
+    monkeypatch.setattr("omen.cli.guess_stream", never)
+    monkeypatch.setattr("omen.cli.train", never)
+    out = tmp_path / "no_such_dir" / "out.csv"
+    runs = (["eval", "--model", str(workdir["model"]), "--test", str(workdir["test"]),
+             "--budget", "300000", "--out", str(out)],
+            ["train", "--input", str(workdir["corpus"]), "--out", str(out)],
+            ["train", "--input", str(workdir["corpus"]), "--out", str(tmp_path)])
+    for argv in runs:
+        caplog.clear()
+        assert main([*argv, "--quiet"]) == 2, argv
+        assert argv[-1] in caplog.text
+    assert not out.parent.exists()
+
+
+def test_eval_file_matches_crack_checkpoint_output(workdir, capsys):
+    out = workdir["root"] / "curve_same.csv"
+    argv = ["--model", str(workdir["model"]), "--test", str(workdir["test"]),
+            "--budget", "5000", "--checkpoints", "1e2,1e3,5e3", "--quiet"]
+    assert main(["crack", *argv]) == 0
+    printed = capsys.readouterr().out
+    assert main(["eval", *argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == printed.encode()
+
+
 def test_checkpoints_parse_exactly():
     assert _parse_checkpoints("10000000000000001") == [10000000000000001]
     assert _parse_checkpoints("1e3, 2E4,,20.0,2.5e+3,007") == [1000, 20000, 20, 2500, 7]

@@ -167,12 +167,14 @@ def test_enumeration_deterministic():
     assert a == b and len(a) > 0
 
 
-def test_small_batches_change_nothing(monkeypatch):
-    model = synth.random_model(12, sigma=4, L=5)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("batch", [1, 3])
+def test_small_batches_change_nothing(monkeypatch, batch, n):
+    model = synth.random_model(12, sigma=4, n=n, L=5)
     for eta in (0, -2, -5):
         full = list(enum_pwd(model, eta, 5))
         with monkeypatch.context() as patch:
-            patch.setattr(enumerator, "_BATCH", 3)
+            patch.setattr(enumerator, "_BATCH", batch)
             tiny = list(enum_pwd(model, eta, 5))
         assert full == tiny
 
