@@ -41,6 +41,27 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
 
 
+def check_exponent(b: float) -> None:
+    """The guess-curve exponent rule: b is finite and negative."""
+    if not (math.isfinite(b) and b < 0.0):
+        raise ValueError(f"exponent b must be finite and negative, got {b}")
+
+
+def check_alpha_grid(grid) -> list[float]:
+    """The alpha grid rule: every entry finite and within [1, cap], and 1
+    among them, so the unboosted baseline is always a candidate. Returns
+    the grid sorted, without repeats."""
+    grid = [float(a) for a in grid]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("alpha grid entries must be finite")
+    grid = sorted(set(grid))
+    if not grid or grid[0] < 1.0 or grid[-1] > ALPHA_CAP:
+        raise ValueError(f"alpha grid must lie within [1, {ALPHA_CAP}]")
+    if not any(abs(a - 1.0) < 1e-12 for a in grid):
+        raise ValueError("alpha grid must include 1")
+    return grid
+
+
 def boost_level_for(alpha: float, L: int) -> int:
     """Integer level bonus for a multiplier: round(ln alpha) clamped to [0, L-1]."""
     return max(0, min(L - 1, round(math.log(alpha))))
@@ -333,8 +354,7 @@ def _objective_values(records: list[HintRecord], attribute: str, model, alphas,
     alphas = [float(a) for a in alphas]
     for a in alphas:
         _check_alpha(a)
-    if not (math.isfinite(b) and b < 0.0):
-        raise ValueError(f"exponent b must be finite and negative, got {b}")
+    check_exponent(b)
     totals = [0.0] * len(alphas)
     scored = [0] * len(alphas)
     skipped = 0
@@ -383,19 +403,11 @@ def estimate_alpha(records: list[HintRecord], attribute: str, model, grid=None,
     """Grid-search the multiplier that minimizes objective_S.
 
     Returns (alpha_star, boost_level); ties pick the smaller alpha. The grid
-    must be finite, live in [1, cap] and contain 1 so the unboosted baseline
-    is always a candidate. The records are read once: each one's terms are
-    built once and then priced at every grid point together, so the cost is
-    one pass over the records whatever the grid size.
+    must pass check_alpha_grid. The records are read once: each one's terms
+    are built once and then priced at every grid point together, so the
+    cost is one pass over the records whatever the grid size.
     """
-    grid = [float(a) for a in (default_alpha_grid() if grid is None else grid)]
-    if not all(map(math.isfinite, grid)):
-        raise ValueError("alpha grid entries must be finite")
-    grid = sorted(set(grid))
-    if not grid or grid[0] < 1.0 or grid[-1] > ALPHA_CAP:
-        raise ValueError(f"alpha grid must lie within [1, {ALPHA_CAP}]")
-    if not any(abs(a - 1.0) < 1e-12 for a in grid):
-        raise ValueError("alpha grid must include 1")
+    grid = check_alpha_grid(default_alpha_grid() if grid is None else grid)
     scores = _objective_values(records, attribute, model, grid, b)
     best = min(range(len(grid)), key=lambda i: (scores[i], grid[i]))
     alpha_star = grid[best]

@@ -18,6 +18,8 @@ from .boost import (
     ALPHA_CAP,
     BoostProfile,
     DEFAULT_GUESS_EXPONENT,
+    check_alpha_grid,
+    check_exponent,
     default_alpha_grid,
     estimate_alpha,
     plus_stream,
@@ -86,6 +88,12 @@ def _parse_grid(text: str) -> list[float]:
     return default_alpha_grid(lo, hi, step)
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    """Refuse a numeric option below low as bad usage, before any file is read."""
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def _attack(args):
     """The test set, its oracle, and the oracle-fed stream over the lengths in
     --min-len..--max-len that the model can guess."""
@@ -140,12 +148,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_enum(args) -> int:
-    model = load_model(args.model)
-    guesses = enum_pwd(model, args.level, args.length)
     if args.max is not None:
-        if args.max < 1:
-            raise ValueError("--max must be >= 1")
-        guesses = islice(guesses, args.max)
+        _at_least("--max", args.max, 1)
+    model = load_model(args.model)
+    guesses = islice(enum_pwd(model, args.level, args.length), args.max)
     out = sys.stdout
     count = 0
     for text in guesses:
@@ -156,6 +162,7 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_crack(args) -> int:
+    _at_least("--budget", args.budget, 1)
     if args.checkpoints:
         sys.stdout.write(format_curve(_curve(args)))
         return 0
@@ -167,6 +174,7 @@ def _cmd_crack(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _at_least("--budget", args.budget, 1)
     _check_out(args.out)
     curve = _curve(args)
     export_curve(curve, args.out)
@@ -208,9 +216,10 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
+    grid = check_alpha_grid(_parse_grid(args.grid))
+    check_exponent(args.exponent)
     model = load_model(args.model)
     records = _load_records(args.hints)
-    grid = _parse_grid(args.grid)
     alpha_star, boost = estimate_alpha(records, args.attribute, model, grid, b=args.exponent)
     sys.stdout.write("alpha,lnAlpha,boostLevel\n")
     sys.stdout.write(f"{alpha_star:.6g},{math.log(alpha_star):.6g},{boost}\n")
@@ -218,6 +227,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_plus(args) -> int:
+    _at_least("--budget", args.budget, 1)
+    _at_least("--target", args.target, 0)
     model = load_model(args.model)
     records = _load_records(args.hints)
     if not 0 <= args.target < len(records):

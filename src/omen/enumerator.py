@@ -10,11 +10,16 @@ the frontier at depth d holds, in character order, every prefix whose first
 d levels match the vector and that can still reach eta. Reachability comes
 from the same backward dynamic program that counts a cell (_count_dp), so a
 vector whose prefix has no live string makes no strings, and live prefixes
-are extended a whole frontier at a time. A cell where no initial gram can
-reach eta stops at the root, before its first vector. A non-empty cell
-still forms every vector of its odometer, live or not, so its cost grows
-with its vectors (ROADMAP.md's output-sensitive level vectors item drives
-the vectors from the frontier instead).
+are extended a whole frontier at a time. The last level of a vector is
+fixed by the others, so the vectors that share their first k - 2 levels
+(a run, consecutive in the odometer and ordered by level k - 2) run as one
+pass: the run's depth k - 2 frontier is expanded at every level of the run
+at once, level by level, which emits the run's strings in its order. A
+cell where no initial gram can reach eta stops at the root, before its
+first vector. A non-empty cell still forms every vector of its odometer,
+live or not, so its cost grows with its vectors (ROADMAP.md's
+output-sensitive level vectors item drives the vectors from the frontier
+instead).
 
 That program runs over classes of contexts, not over all |alphabet|**(n-1)
 contexts. A transition leads to a context that depends only on the last n-2
@@ -285,7 +290,9 @@ def _generate(model, eta, ell, k):
                 break
             yield from alphabet.decode_batch(out)
             m = 0
-        dead = vec[:walk.dead] if walk.dead else None
+        # the vectors that share these levels were emitted with vec's run
+        # or are empty
+        dead = vec[:walk.dead]
     if m:
         yield from alphabet.decode_batch(out[:m])
 
@@ -295,27 +302,37 @@ class _Walk:
 
     Depth 0 holds one entry, the root, depth 1 initial grams, depth d > 1
     the prefixes after d - 1 transitions, depth k full strings. An entry is
-    a row of ranks (its characters so far; the root has none) and a class.
-    A chunk is generated from the chunk above, as a range of its candidate
-    children (the parents' CSR blocks at the vector's level for that depth,
-    concatenated), and keeps only children from whose class the rest of the
-    level budget is still reachable. Depth 0 reads the root _Csr of _Tables
-    and every other depth the class _Csr, so every depth takes the same
-    path: candidate q of a depth is at CSR position q + offset[p] of the
-    parent p with cum[p - 1] <= q < cum[p]. A child's row is its parent's
-    row followed by the last digits of the context it leads to: n - 1 at
-    the root, one at every later depth. A chunk of full strings is cut to
-    the room left in the output batch and copied there whole.
+    a row of ranks (its characters so far; the root has none), a class and
+    the level budget it has left. A chunk is generated from the chunk
+    above, as a range of its candidate children (the parents' CSR blocks at
+    the levels of that depth, level-major and concatenated), and keeps only
+    children from whose class the rest of their budget is still reachable.
+    A depth below k - 1 takes the vector's level (at k - 2, see below); at
+    depth k - 1 each entry's last transition takes its whole budget. Depth 0 reads the root _Csr of _Tables and every
+    other depth the class _Csr, so every depth takes the same path:
+    candidate q of a depth is at CSR position q + offset[b] of block b with
+    cum[b - 1] <= q < cum[b], a child of parent b % parents that keeps
+    after[b] of the budget. A child's row is its parent's row followed by
+    the last digits of the context it leads to: n - 1 at the root, one at
+    every later depth. A chunk of full strings is cut to the room left in
+    the output batch and copied there whole.
+
+    Depth k - 2 takes every level of the vector's run, ascending, when its
+    frontier is whole; a frontier split over chunks takes only the vector's
+    level, since the next chunk's children at the run's first level come
+    before this chunk's at its second.
 
     Chunks that hold a whole frontier (depths 1..full) stay valid for the
-    next vector as far as it shares the current vector's prefix. When a whole
-    frontier has no children at the vector's next level, depth `dead` of the
-    vector is empty and so is every vector sharing its first `dead` entries.
+    next vector as far as it shares the current vector's prefix. Every
+    vector that shares the current vector's first `dead` levels is done:
+    its run was emitted with it, or a whole frontier of depth `dead - 1`
+    had no children at the vector's next level.
     """
 
     def __init__(self, model, tabs: _Tables, budget: int, k: int, batch_size: int):
         self.sigma = model.alphabet.size
         self.k = k
+        self.top_level = model.L - 1
         self.batch = batch_size
         self.can = _reach(model, k - 1, budget + 1)
         self.csr = [tabs.root] + [tabs.step] * (k - 1)  # the CSR depth d's children come from
@@ -325,21 +342,24 @@ class _Walk:
         self.powers = [self.sigma ** np.arange(model.n - 2, -1, -1, dtype=index)]
         self.powers += [np.ones(1, dtype=index)] * (k - 1)
         self.levels: list[int] = []
-        self.rem = [budget] * (k + 1)  # level budget left after depth d
         self.ranks: list[np.ndarray | None] = [None] * (k + 1)
         self.ranks[0] = np.zeros((1, 0), dtype=np.int32)  # the root: one entry, no characters
         self.cls: list[np.ndarray | None] = [None] * (k + 1)
         self.cls[0] = np.zeros(1, dtype=np.intp)  # the root is the one row of its table
-        # children of depth d's chunk: per parent the cumulative count and
-        # CSR block end - cum; the total, next candidate and number kept
+        self.rem: list[np.ndarray | None] = [None] * (k + 1)  # level budget left per entry
+        self.rem[0] = np.full(1, budget, dtype=np.intp)
+        # children of depth d's chunk: per CSR block the cumulative count,
+        # the block end - cum and the budget its children keep; the total,
+        # next candidate and number kept
         self.cum: list[np.ndarray | None] = [None] * k
         self.offset: list[np.ndarray | None] = [None] * k
+        self.after: list[np.ndarray | None] = [None] * k
         self.total = [0] * k
         self.pos = [0] * k
         self.kept = [0] * k
         self.full = 0
         self.top = -1
-        self.dead = 0
+        self.dead = k
 
     def start(self, vec: tuple[int, ...]) -> None:
         """Make vec (levels, not negated) the current vector."""
@@ -349,21 +369,31 @@ class _Walk:
         limit = min(self.full, self.k - 1)
         while depth < limit and levels[depth] == prev[depth]:
             depth += 1
-        rem = self.rem
-        for d in range(depth, self.k):
-            rem[d + 1] = rem[d] - levels[d]
         self.levels = levels
         self.full = depth
         self.top = depth
-        self.dead = 0
+        self.dead = self.k
         self._children(depth)
 
     def _children(self, depth: int) -> None:
-        """Set up the candidate children of depth's chunk at the vector's level."""
+        """Set up the candidate children of depth's chunk, level-major."""
         csr = self.csr[depth]
+        cls, rem = self.cls[depth], self.rem[depth]
         self.pos[depth] = 0
         self.kept[depth] = 0
-        block = self.cls[depth] + self.levels[depth] * csr.rows
+        if depth == self.k - 1:
+            block = cls + rem * csr.rows  # the last transition spends the rest
+        elif depth == self.k - 2 and self.full >= depth:
+            # the whole frontier of the run: every split of the rest over
+            # the last two transitions, in the run's order
+            rest = int(rem[0])  # the same for every entry of the run's prefix
+            lv = np.arange(max(0, rest - self.top_level), min(rest, self.top_level) + 1)[:, None]
+            block = (cls + lv * csr.rows).reshape(-1)
+            self.after[depth] = (rem - lv).reshape(-1)
+            self.dead = depth
+        else:
+            block = cls + self.levels[depth] * csr.rows
+            self.after[depth] = rem - self.levels[depth]
         end = csr.start[block + 1]
         cum = np.cumsum(end - csr.start[block])
         self.cum[depth] = cum
@@ -379,15 +409,18 @@ class _Walk:
         whole = q0 == 0 and q1 == self.total[depth]
         csr = self.csr[depth]
         q = np.arange(q0, q1)
-        par = np.searchsorted(self.cum[depth], q, side="right")
-        at = q + self.offset[depth][par]
+        b = np.searchsorted(self.cum[depth], q, side="right")
+        at = q + self.offset[depth][b]
         cls = csr.cls[at]
+        par = b % self.cls[depth].shape[0]
         left = self.k - 1 - depth
         if left:
-            keep = self.can[left][self.rem[depth + 1]][cls]
+            rem = self.after[depth][b]
+            keep = self.can[left][rem, cls]
             at = at[keep]
             cls = cls[keep]
             par = par[keep]
+            self.rem[depth + 1] = rem[keep]
         self.full = min(self.full, depth)
         if not at.shape[0]:
             return False
@@ -413,14 +446,16 @@ class _Walk:
 
 
 def _enum_fill(walk: _Walk, out: np.ndarray, m: int) -> int:
-    """Advance the walk of the current level vector, filling out[m:].
+    """Advance the walk of the current level vector (and of the vectors of
+    its run that share its first k - 2 levels, when they run as one pass),
+    filling out[m:].
 
     Depth-first over chunks: a chunk's subtree is finished before the next
-    chunk of the same depth is made, so rows come out in character order.
-    The last depth keeps every candidate, so its chunk is cut to the room
-    left in out and written there whole. Stops when out is full or the
-    vector is exhausted, and returns the number of rows written; the walk
-    resumes where it stopped.
+    chunk of the same depth is made, so rows come out in the vectors' order
+    and in character order within a vector. The last depth keeps every
+    candidate, so its chunk is cut to the room left in out and written
+    there whole. Stops when out is full or the walk is exhausted, and
+    returns the number of rows written; the walk resumes where it stopped.
     """
     k = walk.k
     cap = out.shape[0]
@@ -436,7 +471,7 @@ def _enum_fill(walk: _Walk, out: np.ndarray, m: int) -> int:
                 m += walk.write(out, m)
         else:
             if not walk.kept[depth] and depth <= walk.full:
-                walk.dead = depth + 1
+                walk.dead = min(walk.dead, depth + 1)
             depth -= 1
     walk.top = depth
     return m - first

@@ -296,6 +296,34 @@ def test_checkpoint_order_is_checked_before_the_model_is_read(tmp_path, caplog):
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("cmd,options,message", [
+    ("enum", ["--level", "0", "--length", "5", "--max", "0"], "--max must be >= 1"),
+    ("crack", ["--test", "{missing}", "--budget", "0"], "--budget must be >= 1"),
+    ("eval", ["--test", "{missing}", "--budget", "0", "--out", "{missing}.csv"],
+     "--budget must be >= 1"),
+    ("plus", ["--hints", "{missing}", "--profile", "{missing}", "--budget", "0"],
+     "--budget must be >= 1"),
+    ("plus", ["--hints", "{missing}", "--profile", "{missing}", "--budget", "10",
+              "--target", "-1"], "--target must be >= 0"),
+    ("alpha", ["--hints", "{missing}", "--attribute", "firstName", "--grid", "5:1:0.1"],
+     "bad grid"),
+    ("alpha", ["--hints", "{missing}", "--attribute", "firstName", "--grid", "0.5:9:0.5"],
+     "alpha grid must lie within"),
+    ("alpha", ["--hints", "{missing}", "--attribute", "firstName", "--exponent", "1.5"],
+     "exponent b must be finite and negative"),
+], ids=["enum-max", "crack-budget", "eval-budget", "plus-budget", "plus-target", "alpha-grid",
+        "alpha-grid-range", "alpha-exponent"])
+def test_numeric_options_are_checked_before_any_file_is_read(tmp_path, caplog, cmd, options,
+                                                             message):
+    # every file named is missing, so a command that read one first would exit 2
+    missing = tmp_path / "missing"
+    rc = main([cmd, "--model", str(missing), "--quiet",
+               *(option.format(missing=missing) for option in options)])
+    assert rc == 1
+    assert message in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_out_is_refused_before_any_work(workdir, tmp_path, monkeypatch, caplog):
     def never(*args, **kwargs):
         raise AssertionError("ran before --out was checked")

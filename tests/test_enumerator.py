@@ -262,6 +262,33 @@ def test_an_empty_cell_stops_before_its_first_vector(monkeypatch):
     assert formed
 
 
+def test_a_run_of_vectors_is_one_walk_pass(monkeypatch):
+    # the vectors that share their first k - 2 levels run as one pass: with
+    # a batch that splits no frontier, the walk starts at most once per
+    # distinct (k - 2)-prefix of the odometer, not once per vector
+    model = synth.random_model(43, sigma=4, L=5)
+    ell = 6
+    k = ell - 1
+    monkeypatch.setattr(enumerator, "_BATCH", 4**ell)
+    starts = []
+    start = enumerator._Walk.start
+
+    def counting(self, vec):
+        starts.append(vec)
+        start(self, vec)
+
+    monkeypatch.setattr(enumerator._Walk, "start", counting)
+    started = formed = 0
+    for eta in range(0, -4 * k - 1, -1):
+        starts.clear()
+        assert sum(1 for _ in enum_pwd(model, eta, ell)) == count_guesses(model, eta, ell)
+        cell = list(enum_level_vectors(eta, k, -4))
+        assert len(starts) <= len({vec[:k - 2] for vec in cell}), eta
+        started += len(starts)
+        formed += len(cell)
+    assert started < formed
+
+
 # --- full order and bounded batches -----------------------------------------
 
 
@@ -292,6 +319,8 @@ def brute_cell(model, eta: int, ell: int) -> list[tuple[tuple[int, ...], str]]:
 @pytest.mark.parametrize("seed,sigma,n,L,ell", [
     (31, 4, 2, 4, 6), (32, 3, 3, 5, 6), (33, 3, 4, 4, 6), (34, 4, 3, 10, 5),
     (37, 3, 4, 10, 3), (39, 2, 5, 10, 4),
+    # k = 2: the run of a cell's vectors starts at the root
+    (41, 3, 3, 5, 3), (42, 3, 4, 5, 4),
 ])
 def test_full_order_matches_brute_force_sort(seed, sigma, n, L, ell, monkeypatch):
     model = synth.random_model(seed, sigma=sigma, n=n, L=L)
