@@ -94,6 +94,14 @@ def _at_least(flag: str, value: int, low: int) -> None:
         raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
+def _check_lengths(args) -> None:
+    """Refuse a --min-len below 1 or above --max-len as bad usage, before
+    any file is read."""
+    if not 1 <= args.min_len <= args.max_len:
+        raise ValueError(f"--min-len must be >= 1 and <= --max-len, "
+                         f"got --min-len {args.min_len} and --max-len {args.max_len}")
+
+
 def _attack(args):
     """The test set, its oracle, and the oracle-fed stream over the lengths in
     --min-len..--max-len that the model can guess."""
@@ -124,7 +132,7 @@ def _curve(args):
 
 
 def _check_out(path) -> None:
-    """Refuse an --out path that could not be written, before any work: its
+    """Refuse an output path that could not be written, before any work: its
     directory must exist and be writable. Creates and truncates nothing."""
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
@@ -163,6 +171,7 @@ def _cmd_enum(args) -> int:
 
 def _cmd_crack(args) -> int:
     _at_least("--budget", args.budget, 1)
+    _check_lengths(args)
     if args.checkpoints:
         sys.stdout.write(format_curve(_curve(args)))
         return 0
@@ -175,6 +184,7 @@ def _cmd_crack(args) -> int:
 
 def _cmd_eval(args) -> int:
     _at_least("--budget", args.budget, 1)
+    _check_lengths(args)
     _check_out(args.out)
     curve = _curve(args)
     export_curve(curve, args.out)
@@ -191,6 +201,8 @@ def _load_records(path):
 
 
 def _cmd_sim(args) -> int:
+    for path in filter(None, (args.cdf, args.table)):
+        _check_out(path)
     records = _load_records(args.hints)
     wrote = False
     if args.cdf:

@@ -8,18 +8,20 @@ fixed, so two runs over the same model emit byte-identical sequences.
 The strings of a vector come from NumPy frontiers, one per vector prefix:
 the frontier at depth d holds, in character order, every prefix whose first
 d levels match the vector and that can still reach eta. Reachability comes
-from the same backward dynamic program that counts a cell (_count_dp), so a
-vector whose prefix has no live string makes no strings, and live prefixes
-are extended a whole frontier at a time. The last level of a vector is
-fixed by the others, so the vectors that share their first k - 2 levels
-(a run, consecutive in the odometer and ordered by level k - 2) run as one
-pass: the run's depth k - 2 frontier is expanded at every level of the run
-at once, level by level, which emits the run's strings in its order. A
-cell where no initial gram can reach eta stops at the root, before its
-first vector. A non-empty cell still forms every vector of its odometer,
-live or not, so its cost grows with its vectors (ROADMAP.md's
-output-sensitive level vectors item drives the vectors from the frontier
-instead).
+from the same backward dynamic program that counts a cell (_count_dp), run
+as path counts clipped at a fixed value, so a vector whose prefix has no
+live string makes no strings, and live prefixes are extended a whole
+frontier at a time. A whole frontier whose subtree holds at most a batch of
+strings by those counts (and any whole frontier at depth k - 2, since the
+last level is fixed by the others) is a grouped pass: it is expanded at
+every level that remains, in the engine's order, which emits every vector
+that shares its prefix at once. A cell of at most a batch of strings is
+thus one pass from the root. A cell where no initial gram can reach eta
+stops at the root, before its first vector. A non-empty cell still takes
+its vectors from the odometer, which forms every vector of the cell and
+skips those a pass has covered, so its cost still grows with its vectors
+(ROADMAP.md's output-sensitive level vectors item drives the vectors from
+the frontier instead).
 
 That program runs over classes of contexts, not over all |alphabet|**(n-1)
 contexts. A transition leads to a context that depends only on the last n-2
@@ -147,14 +149,13 @@ def _count_dp(tabs: _Tables, layer: np.ndarray) -> np.ndarray:
     CSR tabs.step.
 
     layer[s, c] is the number of ways r transitions from class c add up
-    to s negated levels (for a bool layer: whether there is one). Returns
-    the same for r + 1 transitions: the sum, over the transitions c -> c2 at
-    each level a <= s, of layer[s - a, c2]. Integer layers are exact as long
-    as no sum overflows; an object layer holds Python ints.
+    to s negated levels. Returns the same for r + 1 transitions: the sum,
+    over the transitions c -> c2 at each level a <= s, of layer[s - a, c2].
+    Integer layers are exact as long as no sum overflows; an object layer
+    holds Python ints.
     """
     width, C = layer.shape
     start, succ_cls = tabs.step.start, tabs.step.cls
-    merge = np.logical_or if layer.dtype == bool else np.add
     out = np.zeros_like(layer)
     for level in range(min(width, (len(start) - 1) // C)):
         bounds = start[level * C:(level + 1) * C + 1]
@@ -176,13 +177,17 @@ def _count_dp(tabs: _Tables, layer: np.ndarray) -> np.ndarray:
         for a, b in zip([0, *cuts], [*cuts, len(rows)]):
             s_lo, s_hi = int(first[a]), int(first[b]) if b < len(rows) else hi
             gathered = layer[:width - level, succ_cls[s_lo:s_hi]]
-            sums = merge.reduceat(gathered, first[a:b] - s_lo, axis=1)
-            out[level:, rows[a:b]] = merge(out[level:, rows[a:b]], sums)
+            sums = np.add.reduceat(gathered, first[a:b] - s_lo, axis=1, dtype=layer.dtype)
+            out[level:, rows[a:b]] += sums
     return out
 
 
 def _reach(model, transitions: int, width: int) -> list[np.ndarray]:
-    """can[r][s, c]: some r transitions from class c add up to exactly s.
+    """count[r][s, c]: the number of ways r transitions from class c add up
+    to exactly s, clipped at int32's maximum // |alphabet| (so that no step
+    of the program overflows). Exact below the clip, and positive exactly
+    where some path exists, so one table is both the walk's reach test
+    (count > 0) and its size estimate of a subtree.
 
     Indexed by the classes of _tables(model), whose members share every
     column. Cached on the model. A cell that needs more transitions extends
@@ -191,16 +196,18 @@ def _reach(model, transitions: int, width: int) -> list[np.ndarray]:
     times.
     """
     tabs = _tables(model)
-    can = getattr(model, "_enum_reach", None)
-    if can is None or can[0].shape[0] < width:
-        if can is not None:
-            width = max(width, 2 * can[0].shape[0])
-        can = [np.zeros((width, tabs.size), dtype=bool)]
-        can[0][0] = True
-        model._enum_reach = can
-    while len(can) <= transitions:
-        can.append(_count_dp(tabs, can[-1]))
-    return can
+    count = getattr(model, "_enum_reach", None)
+    if count is None or count[0].shape[0] < width:
+        if count is not None:
+            width = max(width, 2 * count[0].shape[0])
+        count = [np.zeros((width, tabs.size), dtype=np.int32)]
+        count[0][0] = 1
+        model._enum_reach = count
+    clip = np.iinfo(np.int32).max // model.alphabet.size
+    while len(count) <= transitions:
+        layer = _count_dp(tabs, count[-1])
+        count.append(np.minimum(layer, clip, out=layer))
+    return count
 
 
 def enum_level_vectors(eta: int, k: int, min_level: int) -> Iterator[tuple[int, ...]]:
@@ -278,7 +285,7 @@ def _generate(model, eta, ell, k):
     m = 0
     dead = None
     # an empty cell stops at the root: no initial gram can still reach eta
-    if not any(row.any() for row in _root_rows(tabs, walk.can[k - 1], -eta)):
+    if not walk.size(0):
         return
     for vec in enum_level_vectors(eta, k, -(model.L - 1)):
         if dead is not None and vec[:len(dead)] == dead:
@@ -290,7 +297,7 @@ def _generate(model, eta, ell, k):
                 break
             yield from alphabet.decode_batch(out)
             m = 0
-        # the vectors that share these levels were emitted with vec's run
+        # the vectors that share these levels were emitted with vec's pass
         # or are empty
         dead = vec[:walk.dead]
     if m:
@@ -304,29 +311,41 @@ class _Walk:
     the prefixes after d - 1 transitions, depth k full strings. An entry is
     a row of ranks (its characters so far; the root has none), a class and
     the level budget it has left. A chunk is generated from the chunk
-    above, as a range of its candidate children (the parents' CSR blocks at
-    the levels of that depth, level-major and concatenated), and keeps only
-    children from whose class the rest of their budget is still reachable.
-    A depth below k - 1 takes the vector's level (at k - 2, see below); at
-    depth k - 1 each entry's last transition takes its whole budget. Depth 0 reads the root _Csr of _Tables and every
-    other depth the class _Csr, so every depth takes the same path:
-    candidate q of a depth is at CSR position q + offset[b] of block b with
-    cum[b - 1] <= q < cum[b], a child of parent b % parents that keeps
-    after[b] of the budget. A child's row is its parent's row followed by
-    the last digits of the context it leads to: n - 1 at the root, one at
-    every later depth. A chunk of full strings is cut to the room left in
-    the output batch and copied there whole.
+    above, as a range of its candidate children (CSR blocks of the parents,
+    concatenated), and keeps only children from whose class the rest of
+    their budget is still reachable. A depth below k - 1 takes the vector's
+    level (in a grouped pass, every level; see below); at depth k - 1 each
+    entry's last transition takes its whole budget. Depth 0 reads the root
+    _Csr of _Tables and every other depth the class _Csr, so every depth
+    takes the same path: candidate q of a depth is at CSR position
+    q + offset[b] of block b with cum[b - 1] <= q < cum[b], a child of the
+    block's parent entry that keeps after[b] of the budget. A child's row
+    is its parent's row followed by the last digits of the context it leads
+    to: n - 1 at the root, one at every later depth. A chunk of full strings
+    is cut to the room left in the output batch and copied there whole.
 
-    Depth k - 2 takes every level of the vector's run, ascending, when its
-    frontier is whole; a frontier split over chunks takes only the vector's
-    level, since the next chunk's children at the run's first level come
-    before this chunk's at its second.
+    Grouped passes: the engine's order (level vector descending, then
+    characters) is lexicographic on (levels, characters), so a frontier
+    sorted by (level prefix, characters) and expanded in (group, level,
+    parent, character) order gives children sorted by the same key. A depth
+    d groups when its frontier is whole (one chunk) and either d = k - 2 or
+    the strings below it, the sum of its entries' counts, fit in one batch.
+    It is then expanded at every level its vectors can take next, and so is
+    every depth below it, which emits every vector that shares the current
+    vector's first d levels, in the odometer's order. Each entry carries a
+    group, equal for entries with equal levels; a block has one parent
+    entry. Every live prefix has a completion, so every frontier of the
+    pass holds at most batch_size entries, and the chunks above depth
+    k - 1 take their whole candidate range: a frontier split over chunks
+    would put the next chunk's children at a group's first level after
+    this chunk's at its second. Depth k - 1 fixes the last level, so its
+    frontier may be cut at the batch as in a single vector.
 
     Chunks that hold a whole frontier (depths 1..full) stay valid for the
     next vector as far as it shares the current vector's prefix. Every
     vector that shares the current vector's first `dead` levels is done:
-    its run was emitted with it, or a whole frontier of depth `dead - 1`
-    had no children at the vector's next level.
+    a grouped pass emitted it, or a whole frontier of depth `dead - 1` had
+    no children at the vector's next level.
     """
 
     def __init__(self, model, tabs: _Tables, budget: int, k: int, batch_size: int):
@@ -334,7 +353,8 @@ class _Walk:
         self.k = k
         self.top_level = model.L - 1
         self.batch = batch_size
-        self.can = _reach(model, k - 1, budget + 1)
+        self.tabs = tabs
+        self.count = _reach(model, k - 1, budget + 1)
         self.csr = [tabs.root] + [tabs.step] * (k - 1)  # the CSR depth d's children come from
         # a child of depth d adds the digits of its context at these powers
         # of sigma: all n - 1 of an initial gram, then only the last one
@@ -348,18 +368,32 @@ class _Walk:
         self.cls[0] = np.zeros(1, dtype=np.intp)  # the root is the one row of its table
         self.rem: list[np.ndarray | None] = [None] * (k + 1)  # level budget left per entry
         self.rem[0] = np.full(1, budget, dtype=np.intp)
+        self.group: list[np.ndarray | None] = [None] * (k + 1)  # per entry, in a grouped pass
         # children of depth d's chunk: per CSR block the cumulative count,
-        # the block end - cum and the budget its children keep; the total,
-        # next candidate and number kept
+        # the block end - cum, the budget its children keep, its parent
+        # entry (None: block b's is entry b) and its children's group; the
+        # total, next candidate and number kept
         self.cum: list[np.ndarray | None] = [None] * k
         self.offset: list[np.ndarray | None] = [None] * k
         self.after: list[np.ndarray | None] = [None] * k
+        self.parent: list[np.ndarray | None] = [None] * k
+        self.child_group: list[np.ndarray | None] = [None] * k
         self.total = [0] * k
         self.pos = [0] * k
         self.kept = [0] * k
         self.full = 0
         self.top = -1
         self.dead = k
+        self.grouped = k  # the depth the current pass groups from; k: none
+
+    def size(self, depth: int) -> int:
+        """The strings below depth's frontier, from clipped counts, while
+        its entries share one level budget."""
+        rest = int(self.rem[depth][0])
+        if depth == 0:
+            rows = _root_rows(self.tabs, self.count[self.k - 1], rest)
+            return sum(int(row.sum(dtype=np.int64)) for row in rows)
+        return int(self.count[self.k - depth][rest, self.cls[depth]].sum(dtype=np.int64))
 
     def start(self, vec: tuple[int, ...]) -> None:
         """Make vec (levels, not negated) the current vector."""
@@ -372,25 +406,25 @@ class _Walk:
         self.levels = levels
         self.full = depth
         self.top = depth
-        self.dead = self.k
+        self.dead = self.grouped = self.k
         self._children(depth)
 
     def _children(self, depth: int) -> None:
-        """Set up the candidate children of depth's chunk, level-major."""
+        """Set up the candidate children of depth's chunk: level-major for
+        one vector, (group, level, parent)-major in a grouped pass."""
         csr = self.csr[depth]
         cls, rem = self.cls[depth], self.rem[depth]
         self.pos[depth] = 0
         self.kept[depth] = 0
+        self.parent[depth] = None
         if depth == self.k - 1:
             block = cls + rem * csr.rows  # the last transition spends the rest
-        elif depth == self.k - 2 and self.full >= depth:
-            # the whole frontier of the run: every split of the rest over
-            # the last two transitions, in the run's order
-            rest = int(rem[0])  # the same for every entry of the run's prefix
-            lv = np.arange(max(0, rest - self.top_level), min(rest, self.top_level) + 1)[:, None]
-            block = (cls + lv * csr.rows).reshape(-1)
-            self.after[depth] = (rem - lv).reshape(-1)
-            self.dead = depth
+        elif depth > self.grouped or self.full >= depth and (
+                depth == self.k - 2 or self.size(depth) <= self.batch):
+            if depth < self.grouped:  # the pass groups from here down
+                self.grouped = self.dead = depth
+                self.group[depth] = np.zeros(cls.shape[0], dtype=np.intp)
+            block = self._grouped(depth)
         else:
             block = cls + self.levels[depth] * csr.rows
             self.after[depth] = rem - self.levels[depth]
@@ -400,31 +434,62 @@ class _Walk:
         self.offset[depth] = end - cum
         self.total[depth] = int(cum[-1])
 
-    def chunk(self, depth: int, size: int) -> bool:
-        """Generate depth + 1's next chunk of at most size candidates; False
-        when it kept nothing."""
-        q0 = self.pos[depth]
-        q1 = min(q0 + size, self.total[depth])
-        self.pos[depth] = q1
-        whole = q0 == 0 and q1 == self.total[depth]
+    def _grouped(self, depth: int) -> np.ndarray:
+        """The blocks of depth's whole frontier in a grouped pass: per group
+        (its entries share a budget), every level the next transition can
+        take, ascending, and per level every entry of the group in order."""
         csr = self.csr[depth]
-        q = np.arange(q0, q1)
-        b = np.searchsorted(self.cum[depth], q, side="right")
-        at = q + self.offset[depth][b]
+        cls, rem, group = self.cls[depth], self.rem[depth], self.group[depth]
+        index = csr.start.dtype  # holds level * rows, so every level and entry
+        first = np.flatnonzero(np.diff(group, prepend=-1)).astype(index)
+        size = np.diff(first, append=index.type(group.shape[0]))
+        rest = rem[first].astype(index)
+        # the later levels can take at most top_level each
+        low = np.maximum(rest - (self.k - 1 - depth) * self.top_level, 0)
+        levels = np.minimum(rest, self.top_level) - low + 1
+        blocks = levels * size
+        of = np.repeat(np.arange(first.shape[0], dtype=index), blocks)
+        step, parent = np.divmod(np.arange(of.shape[0], dtype=index)
+                                 - (np.cumsum(blocks, dtype=index) - blocks)[of], size[of])
+        if depth < self.k - 2:
+            self.child_group[depth] = (np.cumsum(levels, dtype=index) - levels)[of] + step
+        step += low[of]  # the level of each block
+        parent += first[of]
+        del of
+        self.parent[depth] = parent
+        self.after[depth] = rem[parent] - step
+        step *= csr.rows
+        step += cls[parent]
+        return step
+
+    def chunk(self, depth: int, size: int) -> bool:
+        """Generate depth + 1's next chunk of at most size candidates (in a
+        grouped pass above depth k - 2, all of them); False when it kept
+        nothing."""
+        q0 = self.pos[depth]
+        total = self.total[depth]
+        grouped = self.grouped <= depth < self.k - 2
+        q1 = total if grouped else min(q0 + size, total)
+        self.pos[depth] = q1
+        whole = q0 == 0 and q1 == total
+        csr = self.csr[depth]
+        at = np.arange(q0, q1)
+        b = np.searchsorted(self.cum[depth], at, side="right")
+        at += self.offset[depth][b]
         cls = csr.cls[at]
-        par = b % self.cls[depth].shape[0]
         left = self.k - 1 - depth
         if left:
             rem = self.after[depth][b]
-            keep = self.can[left][rem, cls]
-            at = at[keep]
-            cls = cls[keep]
-            par = par[keep]
-            self.rem[depth + 1] = rem[keep]
+            keep = self.count[left][rem, cls] > 0
+            b, at, cls, rem = b[keep], at[keep], cls[keep], rem[keep]
+            self.rem[depth + 1] = rem
+            if grouped:
+                self.group[depth + 1] = self.child_group[depth][b]
         self.full = min(self.full, depth)
         if not at.shape[0]:
             return False
         self.kept[depth] += at.shape[0]
+        par = b if self.parent[depth] is None else self.parent[depth][b]
         width = self.ranks[depth].shape[1]  # the parents' characters
         ranks = np.empty((at.shape[0], width + self.powers[depth].shape[0]), dtype=np.int32)
         ranks[:, :width] = self.ranks[depth][par]
@@ -446,9 +511,9 @@ class _Walk:
 
 
 def _enum_fill(walk: _Walk, out: np.ndarray, m: int) -> int:
-    """Advance the walk of the current level vector (and of the vectors of
-    its run that share its first k - 2 levels, when they run as one pass),
-    filling out[m:].
+    """Advance the walk of the current level vector (and of every vector
+    that shares its first walk.dead levels, in a grouped pass), filling
+    out[m:].
 
     Depth-first over chunks: a chunk's subtree is finished before the next
     chunk of the same depth is made, so rows come out in the vectors' order

@@ -311,8 +311,15 @@ def test_checkpoint_order_is_checked_before_the_model_is_read(tmp_path, caplog):
      "alpha grid must lie within"),
     ("alpha", ["--hints", "{missing}", "--attribute", "firstName", "--exponent", "1.5"],
      "exponent b must be finite and negative"),
+    ("crack", ["--test", "{missing}", "--budget", "10", "--min-len", "5", "--max-len", "4"],
+     "--min-len must be >= 1 and <= --max-len, got --min-len 5 and --max-len 4"),
+    ("eval", ["--test", "{missing}", "--budget", "10", "--out", "{missing}.csv",
+              "--min-len", "5", "--max-len", "4"],
+     "--min-len must be >= 1 and <= --max-len, got --min-len 5 and --max-len 4"),
+    ("crack", ["--test", "{missing}", "--budget", "10", "--min-len", "0"],
+     "--min-len must be >= 1 and <= --max-len, got --min-len 0"),
 ], ids=["enum-max", "crack-budget", "eval-budget", "plus-budget", "plus-target", "alpha-grid",
-        "alpha-grid-range", "alpha-exponent"])
+        "alpha-grid-range", "alpha-exponent", "crack-lengths", "eval-lengths", "crack-min-len"])
 def test_numeric_options_are_checked_before_any_file_is_read(tmp_path, caplog, cmd, options,
                                                              message):
     # every file named is missing, so a command that read one first would exit 2
@@ -469,6 +476,23 @@ def test_sim_cdf_file(workdir):
     lines = cdf.read_text().splitlines()
     assert lines[0] == "value,fraction"
     assert float(lines[-1].split(",")[1]) == 1.0
+
+
+def test_sim_checks_its_output_paths_before_any_work(workdir, tmp_path, monkeypatch, caplog):
+    def never(*args, **kwargs):
+        raise AssertionError("read the hints before the output paths were checked")
+
+    monkeypatch.setattr("omen.cli.load_hints", never)
+    cdf = tmp_path / "cdf.csv"
+    missing = tmp_path / "no_such_dir"
+    runs = (["--cdf", str(cdf), "--table", str(missing / "table.csv")],
+            ["--cdf", str(missing / "cdf.csv")],
+            ["--table", str(tmp_path)])
+    for options in runs:
+        caplog.clear()
+        assert main(["sim", "--hints", str(workdir["hints"]), *options, "--quiet"]) == 2, options
+        assert options[-1] in caplog.text
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sim_bad_hints_exit_2(workdir, capsys):

@@ -289,6 +289,27 @@ def test_a_run_of_vectors_is_one_walk_pass(monkeypatch):
     assert started < formed
 
 
+def test_a_cell_that_fits_one_batch_is_one_walk_pass(monkeypatch):
+    # 28 strings of length 13 over 11,440 level vectors: the strings below
+    # the root fit one batch, so one pass grouped at the root emits the cell
+    model = synth.random_model(46, sigma=2, L=4)
+    ell, eta = 13, -6
+    k = ell - 1
+    assert sum(1 for _ in enum_level_vectors(eta, k, -3)) == 11440
+    starts = []
+    start = enumerator._Walk.start
+
+    def counting(self, vec):
+        starts.append(vec)
+        start(self, vec)
+
+    monkeypatch.setattr(enumerator._Walk, "start", counting)
+    want = [word for _, word in brute_cell(model, eta, ell)]
+    assert len(want) == 28
+    assert list(enum_pwd(model, eta, ell)) == want
+    assert len(starts) == 1
+
+
 # --- full order and bounded batches -----------------------------------------
 
 
@@ -325,19 +346,34 @@ def brute_cell(model, eta: int, ell: int) -> list[tuple[tuple[int, ...], str]]:
 def test_full_order_matches_brute_force_sort(seed, sigma, n, L, ell, monkeypatch):
     model = synth.random_model(seed, sigma=sigma, n=n, L=L)
     k = ell - (n - 2)
+    # chunks of a pass grouped below the root and above depth k - 2 that
+    # hold several groups: at batch 16 some cell of every k >= 4 case has one
+    mixed = []
+    chunk = enumerator._Walk.chunk
+
+    def recording(self, depth, size):
+        made = chunk(self, depth, size)
+        if made and 1 <= self.grouped <= depth < self.k - 2:
+            group = self.group[depth + 1]
+            mixed.append(group[0] != group[-1])
+        return made
+
+    monkeypatch.setattr(enumerator._Walk, "chunk", recording)
     empty_vectors = 0
     for eta in range(0, -(L - 1) * k - 1, -1):
         cell = brute_cell(model, eta, ell)
         want = [word for _, word in cell]
         assert list(enum_pwd(model, eta, ell)) == want
-        with monkeypatch.context() as patch:
-            patch.setattr(enumerator, "_BATCH", 2)
-            assert list(enum_pwd(model, eta, ell)) == want
+        for batch in (2, 16):
+            with monkeypatch.context() as patch:
+                patch.setattr(enumerator, "_BATCH", batch)
+                assert list(enum_pwd(model, eta, ell)) == want
         assert count_guesses(model, eta, ell) == len(want)
         used = {vec for vec, _ in cell}
         empty_vectors += sum(tuple(-v for v in vec) not in used
                              for vec in enum_level_vectors(eta, k, -(L - 1)))
     assert empty_vectors > 0
+    assert any(mixed) or k < 4
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -386,27 +422,28 @@ def test_batches_stay_within_batch_size(monkeypatch):
 
 
 def reference_reach(model, transitions: int, width: int) -> list[np.ndarray]:
-    """can[r][s, c] by the plain recurrence, one context and character at a time."""
+    """count[r][s, c], the number of ways r transitions from context c add
+    up to s, by the plain recurrence, one context and character at a time."""
     sigma = model.alphabet.size
     C = sigma ** (model.n - 1)
-    can = [np.zeros((width, C), dtype=bool)]
-    can[0][0] = True
+    count = [np.zeros((width, C), dtype=np.int64)]
+    count[0][0] = 1
     for _ in range(transitions):
-        prev = can[-1]
+        prev = count[-1]
         nxt = np.zeros_like(prev)
         for c in range(C):
             for z in range(sigma):
                 a = -int(model.cond_level[c, z])
                 if a < width:
-                    nxt[a:, c] |= prev[:width - a, (c * sigma + z) % C]
-        can.append(nxt)
-    return can
+                    nxt[a:, c] += prev[:width - a, (c * sigma + z) % C]
+        count.append(nxt)
+    return count
 
 
 def assert_classes_exact(model, ell: int) -> None:
     """On a model whose contexts merge into fewer classes: every cell of
-    length ell in brute-force order and size, and every reach row equal to
-    the context-space reference."""
+    length ell in brute-force order and size, and every count row equal to
+    the context-space reference, clipped where the enumerator clips it."""
     assert enumerator._tables(model).size < model.alphabet.size ** (model.n - 1)
     k = ell - (model.n - 2)
     floor = -(model.L - 1) * k
@@ -414,11 +451,13 @@ def assert_classes_exact(model, ell: int) -> None:
         want = [word for _, word in brute_cell(model, eta, ell)]
         assert list(enum_pwd(model, eta, ell)) == want
         assert count_guesses(model, eta, ell) == len(want)
-    can = enumerator._reach(model, k - 1, 1 - floor)
+    count = enumerator._reach(model, k - 1, 1 - floor)
     of = enumerator._tables(model).of
-    want = reference_reach(model, len(can) - 1, can[0].shape[0])
-    for got, ref in zip(can, want):
-        assert np.array_equal(got[:, of], ref)
+    want = reference_reach(model, len(count) - 1, count[0].shape[0])
+    clip = np.iinfo(count[0].dtype).max // model.alphabet.size
+    assert max(int(ref.max()) for ref in want) > 1  # the counts are more than reach
+    for got, ref in zip(count, want):
+        assert np.array_equal(got[:, of], np.minimum(ref, clip))
 
 
 def sparse_model(n: int) -> NgramModel:
