@@ -8,20 +8,17 @@ fixed, so two runs over the same model emit byte-identical sequences.
 The strings of a vector come from NumPy frontiers, one per vector prefix:
 the frontier at depth d holds, in character order, every prefix whose first
 d levels match the vector and that can still reach eta. Reachability comes
-from the same backward dynamic program that counts a cell (_count_dp), run
-as path counts clipped at a fixed value, so a vector whose prefix has no
-live string makes no strings, and live prefixes are extended a whole
-frontier at a time. A whole frontier whose subtree holds at most a batch of
-strings by those counts (and any whole frontier at depth k - 2, since the
-last level is fixed by the others) is a grouped pass: it is expanded at
-every level that remains, in the engine's order, which emits every vector
-that shares its prefix at once. A cell of at most a batch of strings is
-thus one pass from the root. A cell where no initial gram can reach eta
-stops at the root, before its first vector. A non-empty cell still takes
-its vectors from the odometer, which forms every vector of the cell and
-skips those a pass has covered, so its cost still grows with its vectors
-(ROADMAP.md's output-sensitive level vectors item drives the vectors from
-the frontier instead).
+from the same backward dynamic program that counts a cell (_count_dp), kept
+as clipped path counts, so a vector whose prefix has no live string makes
+no strings, and live prefixes are extended a whole frontier at a time. A
+whole frontier whose strings fit one batch by those counts, or any whole
+frontier at depth k - 2 (the last level is fixed by the others), runs as
+one grouped pass over every vector that shares its prefix; a cell that
+fits one batch is one pass from the root. A cell where no initial gram can
+reach eta stops at the root, before its first vector. A non-empty cell
+still forms every vector of its odometer and skips those a pass covered,
+so its cost still grows with its vectors (ROADMAP.md's output-sensitive
+level vectors item drives the vectors from the frontier instead).
 
 That program runs over classes of contexts, not over all |alphabet|**(n-1)
 contexts. A transition leads to a context that depends only on the last n-2
@@ -150,13 +147,13 @@ def _count_dp(tabs: _Tables, layer: np.ndarray) -> np.ndarray:
 
     layer[s, c] is the number of ways r transitions from class c add up
     to s negated levels. Returns the same for r + 1 transitions: the sum,
-    over the transitions c -> c2 at each level a <= s, of layer[s - a, c2].
-    Integer layers are exact as long as no sum overflows; an object layer
-    holds Python ints.
+    over the transitions c -> c2 at each level a <= s, of layer[s - a, c2],
+    in at least int32. Integer layers are exact as long as no sum
+    overflows; an object layer holds Python ints.
     """
     width, C = layer.shape
     start, succ_cls = tabs.step.start, tabs.step.cls
-    out = np.zeros_like(layer)
+    out = np.zeros(layer.shape, dtype=np.promote_types(layer.dtype, np.int32))
     for level in range(min(width, (len(start) - 1) // C)):
         bounds = start[level * C:(level + 1) * C + 1]
         lo, hi = int(bounds[0]), int(bounds[-1])
@@ -177,17 +174,17 @@ def _count_dp(tabs: _Tables, layer: np.ndarray) -> np.ndarray:
         for a, b in zip([0, *cuts], [*cuts, len(rows)]):
             s_lo, s_hi = int(first[a]), int(first[b]) if b < len(rows) else hi
             gathered = layer[:width - level, succ_cls[s_lo:s_hi]]
-            sums = np.add.reduceat(gathered, first[a:b] - s_lo, axis=1, dtype=layer.dtype)
+            sums = np.add.reduceat(gathered, first[a:b] - s_lo, axis=1, dtype=out.dtype)
             out[level:, rows[a:b]] += sums
     return out
 
 
 def _reach(model, transitions: int, width: int) -> list[np.ndarray]:
     """count[r][s, c]: the number of ways r transitions from class c add up
-    to exactly s, clipped at int32's maximum // |alphabet| (so that no step
-    of the program overflows). Exact below the clip, and positive exactly
-    where some path exists, so one table is both the walk's reach test
-    (count > 0) and its size estimate of a subtree.
+    to exactly s, in int16, clipped at its maximum. Positive exactly where
+    some path exists, and exact below the clip, so one table is the walk's
+    reach test (count > 0) and, for batches below the clip, its exact test
+    of whether a subtree fits a batch.
 
     Indexed by the classes of _tables(model), whose members share every
     column. Cached on the model. A cell that needs more transitions extends
@@ -200,13 +197,12 @@ def _reach(model, transitions: int, width: int) -> list[np.ndarray]:
     if count is None or count[0].shape[0] < width:
         if count is not None:
             width = max(width, 2 * count[0].shape[0])
-        count = [np.zeros((width, tabs.size), dtype=np.int32)]
+        count = [np.zeros((width, tabs.size), dtype=np.int16)]
         count[0][0] = 1
         model._enum_reach = count
-    clip = np.iinfo(np.int32).max // model.alphabet.size
     while len(count) <= transitions:
-        layer = _count_dp(tabs, count[-1])
-        count.append(np.minimum(layer, clip, out=layer))
+        layer = _count_dp(tabs, count[-1])  # int32, which sums of sigma int16 entries fit
+        count.append(np.minimum(layer, np.iinfo(np.int16).max, out=layer).astype(np.int16))
     return count
 
 
@@ -324,22 +320,19 @@ class _Walk:
     to: n - 1 at the root, one at every later depth. A chunk of full strings
     is cut to the room left in the output batch and copied there whole.
 
-    Grouped passes: the engine's order (level vector descending, then
-    characters) is lexicographic on (levels, characters), so a frontier
-    sorted by (level prefix, characters) and expanded in (group, level,
-    parent, character) order gives children sorted by the same key. A depth
-    d groups when its frontier is whole (one chunk) and either d = k - 2 or
-    the strings below it, the sum of its entries' counts, fit in one batch.
-    It is then expanded at every level its vectors can take next, and so is
-    every depth below it, which emits every vector that shares the current
-    vector's first d levels, in the odometer's order. Each entry carries a
-    group, equal for entries with equal levels; a block has one parent
-    entry. Every live prefix has a completion, so every frontier of the
-    pass holds at most batch_size entries, and the chunks above depth
-    k - 1 take their whole candidate range: a frontier split over chunks
-    would put the next chunk's children at a group's first level after
-    this chunk's at its second. Depth k - 1 fixes the last level, so its
-    frontier may be cut at the batch as in a single vector.
+    Grouped passes: the engine's order is lexicographic on (levels,
+    characters), so a frontier sorted by (level prefix, characters) and
+    expanded in (group, level, parent, character) order gives children
+    sorted by the same key; a group is the entries that share their levels.
+    A depth d groups when its frontier is whole (one chunk) and either
+    d = k - 2 or the sum of its entries' counts fits one batch. It and every
+    depth below it are then expanded at every level their vectors can take,
+    which emits every vector that shares the current vector's first d
+    levels. Every live prefix has a completion, so no frontier of the pass
+    holds more than batch_size entries, and the chunks above depth k - 1
+    take their whole candidate range (a split frontier would put the next
+    chunk's children at a group's first level after this chunk's at its
+    second). Depth k - 1 fixes the last level, so it is cut at the batch.
 
     Chunks that hold a whole frontier (depths 1..full) stay valid for the
     next vector as far as it shares the current vector's prefix. Every
@@ -441,26 +434,23 @@ class _Walk:
         csr = self.csr[depth]
         cls, rem, group = self.cls[depth], self.rem[depth], self.group[depth]
         index = csr.start.dtype  # holds level * rows, so every level and entry
-        first = np.flatnonzero(np.diff(group, prepend=-1)).astype(index)
+        first = np.flatnonzero(np.diff(group, prepend=-1)).astype(index)  # of each group
         size = np.diff(first, append=index.type(group.shape[0]))
         rest = rem[first].astype(index)
         # the later levels can take at most top_level each
         low = np.maximum(rest - (self.k - 1 - depth) * self.top_level, 0)
         levels = np.minimum(rest, self.top_level) - low + 1
         blocks = levels * size
-        of = np.repeat(np.arange(first.shape[0], dtype=index), blocks)
+        of = np.repeat(np.arange(first.shape[0], dtype=index), blocks)  # each block's group
         step, parent = np.divmod(np.arange(of.shape[0], dtype=index)
                                  - (np.cumsum(blocks, dtype=index) - blocks)[of], size[of])
+        parent += first[of]
+        level = low[of] + step
         if depth < self.k - 2:
             self.child_group[depth] = (np.cumsum(levels, dtype=index) - levels)[of] + step
-        step += low[of]  # the level of each block
-        parent += first[of]
-        del of
         self.parent[depth] = parent
-        self.after[depth] = rem[parent] - step
-        step *= csr.rows
-        step += cls[parent]
-        return step
+        self.after[depth] = rem[parent] - level
+        return cls[parent] + level * csr.rows
 
     def chunk(self, depth: int, size: int) -> bool:
         """Generate depth + 1's next chunk of at most size candidates (in a
