@@ -16,9 +16,11 @@ frontier at depth k - 2 (the last level is fixed by the others), runs as
 one grouped pass over every vector that shares its prefix; a cell that
 fits one batch is one pass from the root. A cell where no initial gram can
 reach eta stops at the root, before its first vector. A non-empty cell
-still forms every vector of its odometer and skips those a pass covered,
-so its cost still grows with its vectors (ROADMAP.md's output-sensitive
-level vectors item drives the vectors from the frontier instead).
+still forms every vector of its odometer and skips those a pass covered
+(the benchmark's trace counts the vectors formed, and its tests check that
+count), so its cost still grows with its vectors (ROADMAP.md's
+output-sensitive level vectors item drives the vectors from the frontier
+instead).
 
 That program runs over classes of contexts, not over all |alphabet|**(n-1)
 contexts. A transition leads to a context that depends only on the last n-2
