@@ -194,11 +194,18 @@ def _raised_levels(model, bonus: dict[str, int]) -> np.ndarray:
     return levels
 
 
-def _with_conditionals(model, cond_prob: np.ndarray, cond_level: np.ndarray) -> NgramModel:
-    """The model with its conditional tables replaced, unvalidated: a boosted
-    row sums to 1 - p_hat*(1 - alpha*p_hat), not 1, so load_model refuses
-    the file that save_model writes of it."""
-    return NgramModel(model.alphabet, model.n, model.L, model.init_prob, cond_prob,
+def _with_conditionals(model, rows: dict[int, np.ndarray], cond_level: np.ndarray) -> NgramModel:
+    """The model with the conditional rows of the contexts in rows (context
+    -> row) replaced, which makes them explicit, and with cond_level as its
+    levels; unvalidated: a boosted row sums to 1 - p_hat*(1 - alpha*p_hat),
+    not 1, so load_model refuses the file that save_model writes of it."""
+    ids, table = model.cond_table
+    if rows:
+        touched = np.fromiter(rows, dtype=np.int64, count=len(rows))
+        ids = np.union1d(ids, touched)
+        table = np.concatenate((model.cond_row(ids), table[-1:]))
+        table[np.searchsorted(ids, touched)] = list(rows.values())
+    return NgramModel(model.alphabet, model.n, model.L, model.init_prob, (ids, table),
                       model.init_level, cond_level, validate=False)
 
 
@@ -210,16 +217,17 @@ def boost_conditionals(model, hint_grams, alpha: float) -> NgramModel:
     to 1 - p_hat*(1 - alpha*p_hat), the paper's formula. If alpha*p_hat
     reaches 1, boosted grams share the whole row proportionally and the rest
     drop to 0. Levels of boosted grams rise by round(ln alpha), clamped to
-    0. Untouched rows keep the base model's values.
+    0. Untouched rows keep the base model's values, and only touched rows
+    become explicit.
     """
     _check_alpha(alpha)
     hint_grams = list(hint_grams)
     bonus = boost_level_for(alpha, model.L)
-    cond_prob = model.cond_prob.copy()
+    rows = {}
     for ctx, chars in _grams_by_context(model, hint_grams).items():
-        base_prob = model.cond_prob[ctx]
+        base_prob = model.cond_row(ctx)
         p_hat = float(base_prob[chars].sum())
-        prob = cond_prob[ctx]
+        prob = rows[ctx] = base_prob.copy()
         if alpha == 1.0:
             pass  # multiplying by 1 moves no mass; the row stays as it is
         elif alpha * p_hat >= 1.0:
@@ -229,7 +237,7 @@ def boost_conditionals(model, hint_grams, alpha: float) -> NgramModel:
         else:
             prob *= 1.0 - alpha * p_hat
             prob[chars] = alpha * base_prob[chars]
-    return _with_conditionals(model, cond_prob,
+    return _with_conditionals(model, rows,
                               _raised_levels(model, dict.fromkeys(hint_grams, bonus)))
 
 
@@ -259,8 +267,8 @@ def _record_terms(model, sets: BoostSets, pwd: str) -> tuple[float, list]:
                     if hint_by_ctx is None:
                         hint_by_ctx = _grams_by_context(model, sets.hint_grams)
                     ctx = model.alphabet.rank(ctx_str)
-                    p_hat = sum(float(model.cond_prob[ctx, z])
-                                for z in hint_by_ctx.get(ctx, ()))
+                    row = model.cond_row(ctx)
+                    p_hat = sum(float(row[z]) for z in hint_by_ctx.get(ctx, ()))
                 phat_cache[ctx_str] = p_hat
             terms.append((ctx_str, p_hat))
     return p_old, terms
@@ -435,5 +443,5 @@ def plus_stream(model, profile: BoostProfile, hints, budget: int,
                 if bonus.get(g, 0) < blevel:
                     bonus[g] = blevel
     if bonus:
-        model = _with_conditionals(model, model.cond_prob, _raised_levels(model, bonus))
+        model = _with_conditionals(model, {}, _raised_levels(model, bonus))
     return guess_stream(model, budget, feedback, lengths)

@@ -14,6 +14,8 @@ import re
 import sys
 from itertools import islice
 
+import numpy as np
+
 from .boost import (
     ALPHA_CAP,
     BoostProfile,
@@ -158,6 +160,10 @@ def _cmd_train(args) -> int:
 def _cmd_enum(args) -> int:
     if args.max is not None:
         _at_least("--max", args.max, 1)
+    # no model enumerates a length below the corpus minimum or a level above 0
+    _at_least("--length", args.length, DEFAULT_MIN_LENGTH)
+    if args.level > 0:
+        raise ValueError(f"--level must be <= 0, got {args.level}")
     model = load_model(args.model)
     guesses = islice(enum_pwd(model, args.level, args.length), args.max)
     out = sys.stdout
@@ -166,6 +172,21 @@ def _cmd_enum(args) -> int:
         out.write(text + "\n")
         count += 1
     logger.info("emitted %d guesses", count)
+    return 0
+
+
+def _cmd_info(args) -> int:
+    model = load_model(args.model)
+    histogram = np.bincount(-model.cond_level.reshape(-1), minlength=model.L)
+    out = sys.stdout
+    out.write(f"n: {model.n}\nL: {model.L}\nalphabet size: {model.alphabet.size}\n"
+              f"contexts: {model.init_prob.size}\n"
+              f"explicit conditional rows: {model.cond_table[0].size}\n")
+    for name, size in model.table_bytes().items():
+        out.write(f"bytes {name}: {size}\n")
+    out.write("cond_level histogram: "
+              + " ".join(f"{-level}:{count}" for level, count in enumerate(histogram.tolist()))
+              + "\n")
     return 0
 
 
@@ -294,6 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--max", type=int, default=None, help="stop after this many guesses")
     p.set_defaults(func=_cmd_enum)
+
+    p = sub.add_parser("info", parents=[common], help="summarise a model file")
+    p.add_argument("--model", required=True)
+    p.set_defaults(func=_cmd_info)
 
     p = sub.add_parser("crack", parents=[attack], help="adaptive cracking run against a test set")
     p.add_argument("--checkpoints", help="csv guess counts; prints a curve instead of a summary")

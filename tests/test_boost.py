@@ -135,7 +135,7 @@ def test_boost_alpha_one_is_identity():
     view = boost_conditionals(model, {"abc"}, 1.0)
     ctx = model.alphabet.rank("ab")
     for z in range(4):
-        assert view.cond_prob[ctx, z] == model.cond_prob[ctx, z]
+        assert view.cond_row(ctx)[z] == model.cond_row(ctx)[z]
         assert view.cond_level[ctx, z] == model.cond_level[ctx, z]
 
 
@@ -229,7 +229,7 @@ def test_boosted_probability_counts_repeated_occurrences():
 def max_alpha_phat(model, sets, alpha):
     worst = 0.0
     for ctx, chars in _grams_by_context(model, sets.hint_grams).items():
-        p_hat = sum(model.cond_prob[ctx, z] for z in chars)
+        p_hat = sum(model.cond_row(ctx)[z] for z in chars)
         worst = max(worst, alpha * p_hat)
     return worst
 
@@ -386,7 +386,7 @@ def clamp_fixture(seed=5):
         pwd = synth.random_string(g, model.alphabet, 5, 8)
         j = int(g.integers(0, len(pwd) - 2))
         ctx, last = pwd[j : j + 2], pwd[j + 2]
-        row = model.cond_prob[model.alphabet.rank(ctx)]
+        row = model.cond_row(model.alphabet.rank(ctx))
         near = max((z for z in range(len(chars)) if chars[z] != last), key=lambda z: row[z])
         values = [ctx + chars[near]] + ([pwd[:4]] if i % 3 == 0 else [])
         records.append(HintRecord(pwd, {"lastName": values}))

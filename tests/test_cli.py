@@ -210,6 +210,32 @@ def test_enum_corrupt_model_exits_2(workdir, capsys):
     capsys.readouterr()
 
 
+# --- info --------------------------------------------------------------------
+
+
+def test_info_summarises_a_model(workdir, tmp_path, capsys):
+    assert main(["info", "--model", str(workdir["model"]), "--quiet"]) == 0
+    fields = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    model = load_model(workdir["model"])
+    dense = model.cond_prob
+    # a context that training never saw holds delta/(delta*sigma) in every cell
+    unseen = (dense != 0.01 / (0.01 * 10)).any(axis=1)
+    assert 0 < unseen.sum() < unseen.size
+    assert int(fields["explicit conditional rows"]) == unseen.sum()
+    assert [fields[k] for k in ("n", "L", "alphabet size", "contexts")] == ["3", "10", "10", "100"]
+    histogram = [pair.split(":") for pair in fields["cond_level histogram"].split()]
+    assert [int(level) for level, _ in histogram] == list(range(0, -10, -1))
+    assert [int(count) for _, count in histogram] == [
+        int((model.cond_level == level).sum()) for level in range(0, -10, -1)]
+    assert int(fields["bytes cond_level"]) == dense.size
+    assert int(fields["bytes init_prob"]) == 8 * 100
+
+    bad = tmp_path / "bad.omen"
+    bad.write_bytes(workdir["model"].read_bytes()[:-1])
+    assert main(["info", "--model", str(bad), "--quiet"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 # --- crack / eval ---------------------------------------------------------------
 
 
@@ -318,8 +344,11 @@ def test_checkpoint_order_is_checked_before_the_model_is_read(tmp_path, caplog):
      "--min-len must be >= 1 and <= --max-len, got --min-len 5 and --max-len 4"),
     ("crack", ["--test", "{missing}", "--budget", "10", "--min-len", "0"],
      "--min-len must be >= 1 and <= --max-len, got --min-len 0"),
+    ("enum", ["--level", "1", "--length", "5"], "--level must be <= 0, got 1"),
+    ("enum", ["--level", "0", "--length", "2"], "--length must be >= 3, got 2"),
 ], ids=["enum-max", "crack-budget", "eval-budget", "plus-budget", "plus-target", "alpha-grid",
-        "alpha-grid-range", "alpha-exponent", "crack-lengths", "eval-lengths", "crack-min-len"])
+        "alpha-grid-range", "alpha-exponent", "crack-lengths", "eval-lengths", "crack-min-len",
+        "enum-level", "enum-length"])
 def test_numeric_options_are_checked_before_any_file_is_read(tmp_path, caplog, cmd, options,
                                                              message):
     # every file named is missing, so a command that read one first would exit 2
@@ -559,6 +588,25 @@ def test_alpha_bad_exponent_exit_1(workdir, capsys, caplog):
         assert rc == 1, exponent
         assert "exponent" in caplog.text, exponent
         assert capsys.readouterr().out == "", exponent
+
+
+def test_commands_never_build_the_dense_conditional_table(workdir, tmp_path, monkeypatch):
+    def dense(model):
+        raise AssertionError("the dense conditional table was built")
+
+    monkeypatch.setattr(omen.NgramModel, "cond_prob", property(dense))
+    model = str(tmp_path / "model.omen")
+    attack = ["--model", model, "--test", str(workdir["test"]), "--budget", "2000"]
+    hints = ["--model", model, "--hints", str(workdir["hints"])]
+    runs = (["train", "--input", str(workdir["corpus"]), "--out", model,
+             "--alphabet", str(workdir["root"] / "alphabet.txt")],
+            ["enum", "--model", model, "--level", "-2", "--length", "4"],
+            ["crack", *attack],
+            ["eval", *attack, "--checkpoints", "1e2,1e3", "--out", str(tmp_path / "curve.csv")],
+            ["alpha", *hints, "--attribute", "firstName", "--grid", "1.0:5.0:0.5"],
+            ["plus", *hints, "--profile", str(workdir["profile"]), "--budget", "200"])
+    for argv in runs:
+        assert main([*argv, "--quiet"]) == 0, argv[0]
 
 
 def test_plus_emits_budgeted_guesses(workdir, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 import tracemalloc
@@ -15,6 +16,7 @@ from omen import (
     Corpus,
     EmptyCorpusError,
     ModelFormatError,
+    NgramModel,
     PasswordFile,
     ScoringError,
     TrainingError,
@@ -24,7 +26,7 @@ from omen import (
     save_model,
     train,
 )
-from omen.model import calibrate, discretize
+from omen.model import _discretize_array, calibrate, discretize
 
 
 # --- calibration and discretization ---------------------------------------
@@ -438,3 +440,102 @@ def test_load_refuses_an_absurd_order_before_sizing_its_tables(tmp_path):
     bad.write_bytes(blob[:8] + struct.pack("<I", 2**32 - 1) + blob[12:])
     with pytest.raises(ModelFormatError, match="200000000 cells"):
         load_model(bad)
+
+
+# --- compact conditional rows -------------------------------------------------
+
+
+def _hand_built(cond_prob: np.ndarray) -> NgramModel:
+    """An n=3 model with the given dense conditional table, uniform initial
+    grams and levels from the real calibration."""
+    C, sigma = cond_prob.shape
+    init_prob = np.full(C, 1 / C)
+    c1i, c2 = calibrate(float(init_prob.max()), 10)
+    c1c, _ = calibrate(float(cond_prob.max()), 10)
+    return NgramModel(synth.make_alphabet(sigma), 3, 10, init_prob, cond_prob,
+                      _discretize_array(init_prob, c1i, c2, -9),
+                      _discretize_array(cond_prob, c1c, c2, -9))
+
+
+def _two_constant_values() -> NgramModel:
+    third = 1 / 3
+    rows = np.full((9, 3), third)
+    rows[[2, 7]] = np.nextafter(third, 0)  # constant, sums to 1 within 1e-9
+    rows[[0, 4, 5]] = [[0.5, 0.25, 0.25], [0.1, 0.2, 0.7], [0.6, 0.3, 0.1]]
+    return _hand_built(rows)
+
+
+def _round_trip_models():
+    from test_enumerator import toy_model
+
+    alphabet = synth.make_alphabet(6)
+    for n in (2, 3, 4):
+        words = synth.markov_words(30 + n, alphabet, 300)
+        yield f"trained-n{n}", train(Corpus(words), alphabet=alphabet, n=n)
+    yield "level_model", toy_model()
+    yield "all-distinct", synth.random_model(8, sigma=4)
+    yield "two-constant-values", _two_constant_values()
+
+
+def _dense_probability(model, dense: np.ndarray, pwd: str) -> float:
+    """password_probability's chain, read from the dense table."""
+    n1, sigma = model.n - 1, model.alphabet.size
+    ctx = model.alphabet.rank(pwd[:n1])
+    p = float(model.init_prob[ctx])
+    for ch in pwd[n1:]:
+        z = model.alphabet.index(ch)
+        p *= float(dense[ctx, z])
+        ctx = (ctx * sigma + z) % sigma**n1
+    return p
+
+
+@pytest.mark.parametrize("name", ["trained-n2", "trained-n3", "trained-n4", "level_model",
+                                  "all-distinct", "two-constant-values"])
+def test_load_then_save_gives_the_same_bytes(tmp_path, name):
+    model = dict(_round_trip_models())[name]
+    first, second = tmp_path / "first", tmp_path / "second"
+    save_model(model, first)
+    loaded = load_model(first)
+    save_model(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    dense = model.cond_prob
+    assert np.array_equal(loaded.cond_table[0], model.cond_table[0])
+    chars = model.alphabet.chars
+    for pwd in map("".join, itertools.product(chars, repeat=model.n + 1)):
+        expect = _dense_probability(model, dense, pwd)
+        assert password_probability(model, pwd) == expect, pwd
+        assert password_probability(loaded, pwd) == expect, pwd
+
+
+def test_explicit_rows_are_those_that_differ_from_the_background():
+    models = dict(_round_trip_models())
+    # every row differs from every other: no row is constant, none implicit
+    distinct = models["all-distinct"]
+    assert np.array_equal(distinct.cond_table[0], np.arange(16))
+    # the value most constant rows share is the background; the other is explicit
+    two = models["two-constant-values"]
+    assert two.cond_table[0].tolist() == [0, 2, 4, 5, 7]
+    assert np.array_equal(two.cond_row(1), np.full(3, 1 / 3))
+    assert np.array_equal(two.cond_row(np.array([2, 8])),
+                          [np.full(3, np.nextafter(1 / 3, 0)), np.full(3, 1 / 3)])
+    # training keeps exactly the contexts it saw
+    trained = models["trained-n3"]
+    seen = (trained.cond_prob != 0.01 / (0.01 * 6)).any(axis=1)
+    assert np.array_equal(trained.cond_table[0], np.flatnonzero(seen))
+
+
+def test_loading_holds_the_explicit_rows_only(tmp_path):
+    # the dense table is 1.28 MB, and training saw 228 of its 8,000 rows; the
+    # file alone is more than the table
+    alphabet = synth.make_alphabet(20)
+    model = train(Corpus(synth.markov_words(23, alphabet, 300)), alphabet=alphabet, n=4)
+    save_model(model, tmp_path / "model")
+    table = model.cond_prob.nbytes
+    tracemalloc.start()
+    try:
+        loaded = load_model(tmp_path / "model")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * table, peak / table
+    assert loaded.cond_prob.tobytes() == model.cond_prob.tobytes()
